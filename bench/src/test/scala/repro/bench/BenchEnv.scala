@@ -3,6 +3,8 @@ package repro.bench
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.SparkSpec
 import repro.core._
+import repro.datasynth.GridPartition
+import repro.hydra.LPFormulator
 import repro.tpcds.{TpcdsLite, TpcdsWorkload}
 import repro.job.{JobLite, JobWorkload}
 
@@ -43,7 +45,33 @@ object BenchEnv {
     println()
   }
 
-  def log10Bucket(v: Long): Int = if (v <= 0) 0 else math.log10(v.toDouble).toInt
+  /** Print the log10(card) histogram of `ccs` (Figs 9 and 16); returns the
+    * number of buckets.
+    */
+  def cardinalityHistogram(title: String, ccs: Seq[CC]): Int = {
+    def log10Bucket(v: Long): Int = if (v <= 0) 0 else math.log10(v.toDouble).toInt
+    val buckets = ccs.groupBy(c => log10Bucket(c.card)).toSeq.sortBy(_._1)
+    table(title, Seq("log10(card) bucket", "num CCs"),
+      buckets.map { case (b, cs) => Seq(s"10^$b..10^${b + 1}", cs.size.toString) })
+    buckets.size
+  }
+
+  /** LP variables per relation: Hydra regions and DataSynth grid cells
+    * (Figs 12 and 17).
+    */
+  def variableCounts(schema: SchemaDef, ccs: Seq[CC]): Seq[(String, Int, BigInt)] = {
+    val byRel = ccs.groupBy(_.relation)
+    schema.relations.map { r =>
+      val rc = byRel.getOrElse(r.name, Nil)
+      (r.name, LPFormulator.variableCount(schema, r.name, rc),
+        GridPartition.variableCount(schema, rc))
+    }
+  }
+
+  /** Signed relative error of a CC whose regenerated count is `got`. */
+  def relErr(cc: CC, got: Long): Double =
+    if (cc.card == 0) { if (got == 0) 0.0 else 1.0 }
+    else (got - cc.card).toDouble / cc.card
 
   def time[A](body: => A): (A, Long) = {
     val t0 = System.nanoTime()

@@ -9,24 +9,12 @@ import repro.tpcds.TpcdsLite
 /** Shared WLs regeneration results for the accuracy benches (§7.1). */
 object WlsPipelines {
   lazy val ccs: Seq[CC] = BenchEnv.wlsCcs
-  private lazy val byRel = ccs.groupBy(_.relation)
+  private val totals = TpcdsLite.rowCounts(BenchEnv.sf)
 
-  lazy val hydra: Hydra.Result =
-    Hydra.buildSummary(TpcdsLite.schema, ccs, TpcdsLite.rowCounts(BenchEnv.sf))
+  lazy val hydra: Hydra.Result = Hydra.buildSummary(TpcdsLite.schema, ccs, totals)
 
-  lazy val dsGrids: Seq[DataSynth.ViewGrid] = TpcdsLite.schema.relations.map { r =>
-    val rc = byRel.getOrElse(r.name, Nil)
-    val total = rc.find(_.pred.isTrue).map(_.card)
-      .getOrElse(TpcdsLite.rowCounts(BenchEnv.sf)(r.name))
-    DataSynth.solveView(TpcdsLite.schema, r.name, rc, total)
-  }
-  lazy val dataSynth: DataSynth.Result =
-    DataSynth.instantiate(TpcdsLite.schema, dsGrids, byRel, seed = 4242)
-
-  /** Signed relative error of a CC under a count function. */
-  def relErr(cc: CC, got: Long): Double =
-    if (cc.card == 0) { if (got == 0) 0.0 else 1.0 }
-    else (got - cc.card).toDouble / cc.card
+  lazy val dataSynth: DataSynth.Result = DataSynth.instantiate(TpcdsLite.schema,
+    DataSynth.solveViews(TpcdsLite.schema, ccs, totals), ccs, seed = 4242)
 }
 
 /** Figure 10: percentage of CCs within a given (absolute) relative error.
@@ -36,8 +24,8 @@ object WlsPipelines {
 class Fig10VolumetricSimilarityBench extends AnyFunSuite {
   test("Figure 10: quality of volumetric similarity (WLs)") {
     val ccs = WlsPipelines.ccs
-    val hydraErrs = ccs.map(cc => WlsPipelines.relErr(cc, WlsPipelines.hydra.ccCount(cc)))
-    val dsErrs = ccs.map(cc => WlsPipelines.relErr(cc, DataSynth.ccCount(WlsPipelines.dataSynth, cc)))
+    val hydraErrs = ccs.map(cc => BenchEnv.relErr(cc, WlsPipelines.hydra.ccCount(cc)))
+    val dsErrs = ccs.map(cc => BenchEnv.relErr(cc, DataSynth.ccCount(WlsPipelines.dataSynth, cc)))
 
     val cuts = Seq(0.0, 0.001, 0.01, 0.05, 0.1, 0.2, 0.4, 0.6, 1.0)
     def cdf(errs: Seq[Double]) =

@@ -1,8 +1,6 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.datasynth.GridPartition
-import repro.hydra.LPFormulator
 import repro.tpcds.TpcdsLite
 
 /** Figure 9: distribution of CC cardinalities in WLc (log-scale buckets).
@@ -12,14 +10,11 @@ import repro.tpcds.TpcdsLite
 class Fig09CardinalityDistBench extends AnyFunSuite {
   test("Figure 9: CC cardinality distribution (WLc)") {
     val ccs = BenchEnv.wlcCcs
-    val buckets = ccs.groupBy(c => BenchEnv.log10Bucket(c.card)).toSeq.sortBy(_._1)
-    BenchEnv.table("Figure 9 — CC cardinality distribution, WLc",
-      Seq("log10(card) bucket", "num CCs"),
-      buckets.map { case (b, cs) => Seq(s"10^$b..10^${b + 1}", cs.size.toString) })
+    val buckets = BenchEnv.cardinalityHistogram("Figure 9 — CC cardinality distribution, WLc", ccs)
     println(s"total CCs: ${ccs.size} from ${BenchEnv.wlc.size} queries " +
       s"(paper: 351 CCs from 131 queries)")
     assert(ccs.size > 100, "WLc should produce a rich CC set")
-    assert(buckets.size >= 4, "cardinalities should span several orders of magnitude")
+    assert(buckets >= 4, "cardinalities should span several orders of magnitude")
   }
 }
 
@@ -29,14 +24,7 @@ class Fig09CardinalityDistBench extends AnyFunSuite {
   */
 class Fig12LPVariablesBench extends AnyFunSuite {
   test("Figure 12: LP variables per relation (WLc)") {
-    val schema = TpcdsLite.schema
-    val byRel = BenchEnv.wlcCcs.groupBy(_.relation)
-    val rows = schema.relations.map { r =>
-      val ccs = byRel.getOrElse(r.name, Nil)
-      val hydra = LPFormulator.variableCount(schema, r.name, ccs)
-      val grid = GridPartition.variableCount(schema, ccs)
-      (r.name, hydra, grid)
-    }
+    val rows = BenchEnv.variableCounts(TpcdsLite.schema, BenchEnv.wlcCcs)
     BenchEnv.table("Figure 12 — LP variables, WLc (Hydra regions vs DataSynth grid)",
       Seq("relation", "Hydra vars", "DataSynth vars", "ratio"),
       rows.map { case (n, h, g) =>

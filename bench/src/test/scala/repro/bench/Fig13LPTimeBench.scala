@@ -3,7 +3,7 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.CC
 import repro.datasynth.DataSynth
-import repro.hydra.LPFormulator
+import repro.hydra.Hydra
 import repro.tpcds.TpcdsLite
 
 /** Figure 13: LP processing time.
@@ -14,40 +14,25 @@ import repro.tpcds.TpcdsLite
   */
 class Fig13LPTimeBench extends AnyFunSuite {
   private val schema = TpcdsLite.schema
-
-  private def totalsOf(ccs: Seq[CC]): Map[String, Long] =
-    TpcdsLite.rowCounts(BenchEnv.sf)
+  private val totals = TpcdsLite.rowCounts(BenchEnv.sf)
 
   private def hydraMillis(ccs: Seq[CC]): Long = {
-    val byRel = ccs.groupBy(_.relation)
-    val totals = totalsOf(ccs)
-    schema.relations.map { r =>
-      val rc = byRel.getOrElse(r.name, Nil)
-      val total = rc.find(_.pred.isTrue).map(_.card).getOrElse(totals(r.name))
-      val res = LPFormulator.solve(schema, r.name, rc, total)
-      assert(res.stats.exact, s"${r.name}: inexact Hydra LP")
-      res.stats.solveMillis
-    }.sum
+    val res = Hydra.buildSummary(schema, ccs, totals)
+    res.lpStats.foreach(s => assert(s.exact, s"${s.relation}: inexact Hydra LP"))
+    res.lpMillis
   }
 
   /** (total millis, all views solvable?) for the DataSynth grid path. */
-  private def dataSynthMillis(ccs: Seq[CC], cap: Int): (Long, Boolean) = {
-    val byRel = ccs.groupBy(_.relation)
-    val totals = totalsOf(ccs)
-    val grids = schema.relations.map { r =>
-      val rc = byRel.getOrElse(r.name, Nil)
-      val total = rc.find(_.pred.isTrue).map(_.card).getOrElse(totals(r.name))
-      DataSynth.solveView(schema, r.name, rc, total, solveCap = cap)
-    }
+  private def dataSynthMillis(ccs: Seq[CC]): (Long, Boolean) = {
+    val grids = DataSynth.solveViews(schema, ccs, totals)
     (grids.map(_.lpMillis).sum, grids.forall(_.solvable))
   }
 
   test("Figure 13: LP processing time (WLc and WLs)") {
-    val (hydraC, hydraCms) = BenchEnv.time(hydraMillis(BenchEnv.wlcCcs))
-    val (hydraS, hydraSms) = BenchEnv.time(hydraMillis(BenchEnv.wlsCcs))
-    val ((dsCms, dsCok), _) = BenchEnv.time(dataSynthMillis(BenchEnv.wlcCcs, cap = 20000))
-    val ((dsSms, dsSok), _) = BenchEnv.time(dataSynthMillis(BenchEnv.wlsCcs, cap = 20000))
-    val _ = (hydraC, hydraS, hydraCms, hydraSms)
+    val hydraC = hydraMillis(BenchEnv.wlcCcs)
+    val hydraS = hydraMillis(BenchEnv.wlsCcs)
+    val (dsCms, dsCok) = dataSynthMillis(BenchEnv.wlcCcs)
+    val (dsSms, dsSok) = dataSynthMillis(BenchEnv.wlsCcs)
 
     BenchEnv.table("Figure 13 — LP processing time",
       Seq("workload", "DataSynth", "Hydra"),

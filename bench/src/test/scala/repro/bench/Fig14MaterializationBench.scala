@@ -21,7 +21,6 @@ class Fig14MaterializationBench extends AnyFunSuite {
     val spark = BenchEnv.spark
     val schema = TpcdsLite.schema
     val base = BenchEnv.wlsCcs
-    val byRelBase = base.groupBy(_.relation)
     val outRoot = java.nio.file.Files.createTempDirectory("fig14").toString
 
     // Warm up Spark's write path so the x1 measurement isn't dominated by
@@ -35,7 +34,6 @@ class Fig14MaterializationBench extends AnyFunSuite {
 
     val rows = Seq(1L, 10L, 100L).map { k =>
       val ccs = scaled(base, k)
-      val byRel = ccs.groupBy(_.relation)
       val totals = TpcdsLite.rowCounts(BenchEnv.sf).map { case (r, n) => r -> n * k }
 
       // Hydra: summary → dynamic generation → parquet.
@@ -48,12 +46,8 @@ class Fig14MaterializationBench extends AnyFunSuite {
 
       // DataSynth: grid LP → per-tuple sampling → RI repair → parquet.
       val (_, dsMs) = BenchEnv.time {
-        val grids = schema.relations.map { r =>
-          val rc = byRel.getOrElse(r.name, Nil)
-          val total = rc.find(_.pred.isTrue).map(_.card).getOrElse(totals(r.name))
-          DataSynth.solveView(schema, r.name, rc, total)
-        }
-        val inst = DataSynth.instantiate(schema, grids, byRel, seed = 7)
+        val grids = DataSynth.solveViews(schema, ccs, totals)
+        val inst = DataSynth.instantiate(schema, grids, ccs, seed = 7)
         DataSynth.toRelationDfs(spark, schema, inst).foreach { case (rel, df) =>
           df.write.mode("overwrite").parquet(s"$outRoot/ds-$k/$rel")
         }
@@ -76,6 +70,5 @@ class Fig14MaterializationBench extends AnyFunSuite {
     val gapSmall = rows.head._3.toDouble / rows.head._4
     val gapBig = rows.last._3.toDouble / rows.last._4
     assert(gapBig > gapSmall, "speedup should grow with scale")
-    val _ = byRelBase
   }
 }

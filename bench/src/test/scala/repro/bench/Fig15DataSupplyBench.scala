@@ -75,7 +75,7 @@ class ExabyteScaleBench extends AnyFunSuite {
     BenchEnv.table("§7.4 — summary construction vs modeled database scale",
       Seq("scale", "≈data bytes", "summary build (ms)", "summary rows"),
       rows.map { case (k, b, ms, r) =>
-        Seq(s"x$k", f"$b%.3g", ms.toString, r.summary.relations.map(_.rows.size).sum.toString) })
+        Seq(s"x$k", f"${b.toDouble}%.3g", ms.toString, r.summary.relations.map(_.rows.size).sum.toString) })
     println("paper: exabyte-scale summary in <2 min; construction is scale-free")
 
     val times = rows.map(_._3)

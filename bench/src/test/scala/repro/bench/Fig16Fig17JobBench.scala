@@ -1,8 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.datasynth.GridPartition
-import repro.hydra.{Hydra, LPFormulator}
+import repro.hydra.Hydra
 import repro.job.JobLite
 
 /** Figure 16: CC cardinality distribution for the JOB workload.
@@ -11,14 +10,11 @@ import repro.job.JobLite
 class Fig16JobCardinalityBench extends AnyFunSuite {
   test("Figure 16: cardinality distribution of CCs in JOB") {
     val ccs = BenchEnv.jobCcs
-    val buckets = ccs.groupBy(c => BenchEnv.log10Bucket(c.card)).toSeq.sortBy(_._1)
-    BenchEnv.table("Figure 16 — CC cardinality distribution, JOB",
-      Seq("log10(card) bucket", "num CCs"),
-      buckets.map { case (b, cs) => Seq(s"10^$b..10^${b + 1}", cs.size.toString) })
+    val buckets = BenchEnv.cardinalityHistogram("Figure 16 — CC cardinality distribution, JOB", ccs)
     println(s"total CCs: ${ccs.size} from ${BenchEnv.jobWl.size} queries " +
       "(paper: 523 CCs from 260 queries)")
     assert(ccs.size > 60)
-    assert(buckets.size >= 4, "cardinalities should span several orders of magnitude")
+    assert(buckets >= 4, "cardinalities should span several orders of magnitude")
   }
 }
 
@@ -29,23 +25,14 @@ class Fig17JobVariablesBench extends AnyFunSuite {
   test("Figure 17: number of variables for JOB + end-to-end fidelity") {
     val schema = JobLite.schema
     val ccs = BenchEnv.jobCcs
-    val byRel = ccs.groupBy(_.relation)
-    val rows = schema.relations.map { r =>
-      val rc = byRel.getOrElse(r.name, Nil)
-      val hydra = LPFormulator.variableCount(schema, r.name, rc)
-      val grid = GridPartition.variableCount(schema, rc)
-      Seq(r.name, hydra.toString, grid.toString)
-    }
+    val rows = BenchEnv.variableCounts(schema, ccs)
     BenchEnv.table("Figure 17 — LP variables per view, JOB (Hydra vs grid)",
-      Seq("relation", "Hydra vars", "DataSynth vars"), rows)
+      Seq("relation", "Hydra vars", "DataSynth vars"),
+      rows.map { case (n, h, g) => Seq(n, h.toString, g.toString) })
 
     val (res, ms) = BenchEnv.time(
       Hydra.buildSummary(schema, ccs, JobLite.rowCounts(BenchEnv.sf)))
-    val errs = ccs.map { cc =>
-      val got = res.ccCount(cc)
-      if (cc.card == 0) (if (got == 0) 0.0 else 1.0)
-      else math.abs(got - cc.card).toDouble / cc.card
-    }
+    val errs = ccs.map(cc => math.abs(BenchEnv.relErr(cc, res.ccCount(cc))))
     val sorted = errs.sorted
     println(f"summary built in $ms ms; max rel err=${errs.max}%.4f " +
       f"p95=${sorted((0.95 * (errs.size - 1)).toInt)}%.4f " +
@@ -53,7 +40,7 @@ class Fig17JobVariablesBench extends AnyFunSuite {
 
     // Shape: every view solvable with region counts far below 100k (paper:
     // typically thousands, never exceeding 1e5), errors overwhelmingly tiny.
-    rows.foreach(r => assert(r(1).toInt < 100000, s"${r.head}: ${r(1)} vars"))
+    rows.foreach { case (n, h, _) => assert(h < 100000, s"$n: $h vars") }
     assert(ms < 120000, s"JOB summary took $ms ms")
     assert(sorted((0.9 * (errs.size - 1)).toInt) <= 0.02,
       "p90 relative error should be within the paper's 2%")

@@ -15,6 +15,21 @@ final case class CC(relation: String, pred: Dnf, card: Long) {
     (relation, pred.conjuncts.map(_.toSql).sorted.mkString("|"))
 }
 
+object CC {
+
+  /** Size of `relation` given its CCs `relCcs`: the relation-size (`True`)
+    * CC, else `fallbackTotals` (relations no query counts, e.g.
+    * never-queried dimensions), else an error naming the relation.
+    */
+  def relationSize(relation: String, relCcs: Seq[CC], fallbackTotals: Map[String, Long]): Long =
+    relCcs
+      .find(_.pred.isTrue)
+      .map(_.card)
+      .orElse(fallbackTotals.get(relation))
+      .getOrElse(throw new IllegalArgumentException(
+        s"no size known for relation $relation — add a base CC or a fallback total"))
+}
+
 /** A workload query: PK-FK left-deep join of `root` with `joined` (in join
   * order; each joined relation must be referenced by an earlier one), with
   * per-relation DNF filters on non-key attributes. This is the query class

@@ -57,6 +57,18 @@ object DataSynth {
       (System.nanoTime() - t0) / 1000000)
   }
 
+  /** Grid LPs of every relation of `schema`, sized by [[CC.relationSize]] —
+    * the DataSynth twin of `Hydra.buildSummary`'s per-relation loop.
+    */
+  def solveViews(schema: SchemaDef, ccs: Seq[CC],
+                 fallbackTotals: Map[String, Long] = Map.empty): Seq[ViewGrid] = {
+    val byRel = ccs.groupBy(_.relation)
+    schema.relations.map { r =>
+      val relCcs = byRel.getOrElse(r.name, Nil)
+      solveView(schema, r.name, relCcs, CC.relationSize(r.name, relCcs, fallbackTotals))
+    }
+  }
+
   /** Instantiated database: per-view tuple arrays (over the view's full
     * attribute list), per-relation FK columns, and RI-repair extra counts.
     */
@@ -72,16 +84,16 @@ object DataSynth {
   /** Sample full view instantiations from the grid-LP masses, then repair
     * referential integrity at cell granularity and assign FK values.
     */
-  def instantiate(schema: SchemaDef, grids: Seq[ViewGrid], ccsByRel: Map[String, Seq[CC]],
-                  seed: Long): Result = {
+  def instantiate(schema: SchemaDef, grids: Seq[ViewGrid], ccs: Seq[CC], seed: Long): Result = {
     require(grids.forall(_.solvable), "cannot instantiate: a grid LP was unsolvable")
     val rnd = new java.util.Random(seed)
     val t0 = System.nanoTime()
 
     // Global per-attribute boundary registry for cell-granularity matching.
-    val attrBounds: Map[String, Vector[Double]] = schema.attrByName.map { case (a, at) =>
-      val ccs = grids.flatMap(g => ccsByRel.getOrElse(g.relation, Nil)).filterNot(_.pred.isTrue)
-      a -> GridPartition.boundaries(schema, ccs.filter(_.pred.attrs.contains(a)), a)
+    val gridRels = grids.map(_.relation).toSet
+    val gridCcs = ccs.filter(c => gridRels(c.relation) && !c.pred.isTrue)
+    val attrBounds: Map[String, Vector[Double]] = schema.attrByName.map { case (a, _) =>
+      a -> GridPartition.boundaries(schema, gridCcs.filter(_.pred.attrs.contains(a)), a)
     }
     def cellIdx(a: String, v: Double): Int = {
       val bs = attrBounds(a)

@@ -33,13 +33,7 @@ object Hydra {
     val t0 = System.nanoTime()
     val lps: Seq[ViewLpResult] = schema.relations.map { r =>
       val relCcs = byRel.getOrElse(r.name, Nil)
-      val total = relCcs
-        .find(_.pred.isTrue)
-        .map(_.card)
-        .orElse(fallbackTotals.get(r.name))
-        .getOrElse(throw new IllegalArgumentException(
-          s"no size known for relation ${r.name} — add a base CC or a fallback total"))
-      LPFormulator.solve(schema, r.name, relCcs, total)
+      LPFormulator.solve(schema, r.name, relCcs, CC.relationSize(r.name, relCcs, fallbackTotals))
     }
     val lpMillis = (System.nanoTime() - t0) / 1000000
 

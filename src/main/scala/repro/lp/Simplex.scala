@@ -130,7 +130,6 @@ object Simplex {
     */
   def feasibleIntegral(nVars: Int, eqs: Seq[Eq], maxNodes: Int = 1000): Option[IntegralSolution] = {
     var nodes = 0
-    var exhausted = false
 
     // Branch constraints are (varIdx, bound, isUpper); each contributes one
     // equality row with its own fresh slack variable at solve time.
@@ -144,7 +143,7 @@ object Simplex {
     }
 
     def search(branches: List[(Int, BigInt, Boolean)]): Option[Array[Rational]] = {
-      if (nodes >= maxNodes) { exhausted = true; return None }
+      if (nodes >= maxNodes) return None
       nodes += 1
       solveWith(branches) match {
         case None => None
@@ -166,7 +165,6 @@ object Simplex {
       case None =>
         // Either the node budget ran out or no integer point exists; fall
         // back to the floored LP relaxation and report inexactness.
-        val _ = exhausted
         Some(IntegralSolution(root.map(_.floor), exact = false))
     }
   }

@@ -17,13 +17,9 @@ class DataSynthSparkSpec extends SparkSpec {
     CC("R", Dnf.True, 4000), CC("S", Dnf.True, 300), CC("T", Dnf.True, 500),
     CC("S", between("A", 20, 60), 150),
     CC("R", between("A", 20, 60), 2500))
-  private val byRel = ccs.groupBy(_.relation)
 
-  private lazy val grids = schema.relations.map { r =>
-    val rc = byRel.getOrElse(r.name, Nil)
-    DataSynth.solveView(schema, r.name, rc, rc.find(_.pred.isTrue).get.card)
-  }
-  private lazy val res = DataSynth.instantiate(schema, grids, byRel, seed = 31)
+  private lazy val grids = DataSynth.solveViews(schema, ccs)
+  private lazy val res = DataSynth.instantiate(schema, grids, ccs, seed = 31)
   private lazy val dfs = DataSynth.toRelationDfs(spark, schema, res)
 
   test("materialized relations have the instantiated sizes") {

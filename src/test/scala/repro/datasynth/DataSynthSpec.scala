@@ -82,13 +82,9 @@ class DataSynthSpec extends AnyFunSuite {
     CC("T", between("C", 2, 3), 900),
     CC("R", between("A", 20, 60), 5000),
     CC("R", between("A", 20, 60).and(between("C", 2, 3)), 3000))
-  private val byRel = ccs.groupBy(_.relation)
 
-  private lazy val grids = schema.relations.map { r =>
-    val rc = byRel.getOrElse(r.name, Nil)
-    DataSynth.solveView(schema, r.name, rc, rc.find(_.pred.isTrue).get.card)
-  }
-  private lazy val res = DataSynth.instantiate(schema, grids, byRel, seed = 99)
+  private lazy val grids = DataSynth.solveViews(schema, ccs)
+  private lazy val res = DataSynth.instantiate(schema, grids, ccs, seed = 99)
 
   test("grid LPs solve for this small workload") {
     assert(grids.forall(_.solvable))
@@ -128,8 +124,19 @@ class DataSynthSpec extends AnyFunSuite {
       s"datasynth ${res.extraTuples} vs hydra ${hydra.extraTuples}")
   }
 
+  test("view sizes: the True CC, else the fallback total, else a named error") {
+    val one = SchemaDef(Seq(Relation("V", "V_pk", Seq(Attr("x", 0, 10)), Nil)))
+    val filter = CC("V", between("x", 2, 5), 3)
+    def sizeOf(ccs: Seq[CC], fallback: Map[String, Long]) =
+      DataSynth.solveViews(one, ccs, fallback).map(_.total)
+    assert(sizeOf(Seq(CC("V", Dnf.True, 7), filter), Map("V" -> 99L)) == Seq(7L))
+    assert(sizeOf(Seq(filter), Map("V" -> 9L)) == Seq(9L))
+    val e = intercept[IllegalArgumentException](sizeOf(Seq(filter), Map.empty))
+    assert(e.getMessage.contains("relation V"), e.getMessage)
+  }
+
   test("instantiation is deterministic in the seed") {
-    val res2 = DataSynth.instantiate(schema, grids, byRel, seed = 99)
+    val res2 = DataSynth.instantiate(schema, grids, ccs, seed = 99)
     assert(res2.viewTuples("S").map(_.toVector) == res.viewTuples("S").map(_.toVector))
   }
 }
