@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{count, when}
 
 /** Cardinality constraints (CCs, §2.2) and their extraction from Annotated
   * Query Plans executed on the client database.
@@ -39,9 +40,9 @@ final case class Query(root: String, joined: Seq[String], filters: Map[String, D
   def relations: Seq[String] = root +: joined
 }
 
-/** Extracts CCs from workload queries by *executing* the canonical plan on
-  * the client DataFrames and annotating each operator's output cardinality —
-  * our Spark stand-in for fetching AQPs from the PostgreSQL engine (§3.1).
+/** Extracts CCs from workload queries by *executing* them on the client
+  * DataFrames and annotating each operator's output cardinality — our Spark
+  * stand-in for fetching AQPs from the PostgreSQL engine (§3.1).
   */
 object Aqp {
 
@@ -61,59 +62,75 @@ object Aqp {
     }
   }
 
-  /** CCs for one query: base sizes, per-relation filter cardinalities, and
-    * the output cardinality of every join prefix (all counted with Spark).
-    * Join-prefix CCs are rewritten onto the root relation's view, with the
-    * predicate being the conjunction of all filters applied so far (§3.2).
+  /** The CCs of a workload, de-duplicated, with their counts on `dfs`.
+    *
+    * Each query annotates, in order: the size of every relation it joins,
+    * every non-true filter on its relation, and the output of every join
+    * prefix of its left-deep PK-FK plan. A join-prefix CC is rewritten onto
+    * the root relation's view, with the conjunction of all filters applied
+    * so far as its predicate (§3.2). The first of repeated CCs wins.
+    *
+    * All CCs of one relation are counted by one aggregate over its view
+    * (see [[viewFrame]]): under PK-FK integrity every tuple of a relation
+    * joins exactly one tuple of each relation it references, so a filtered
+    * count over the view equals the left-deep join's output cardinality.
     */
-  def extractQueryCCs(
-      schema: SchemaDef,
-      q: Query,
-      dfs: Map[String, DataFrame],
-      countCache: scala.collection.mutable.Map[(String, String), Long],
-  ): Seq[CC] = {
-    validate(schema, q)
-    def countOf(rel: String, pred: Dnf)(body: => Long): Long =
-      countCache.getOrElseUpdate(CC(rel, pred, 0).dedupKey, body)
-
-    val base = q.relations.map(r => CC(r, Dnf.True, countOf(r, Dnf.True)(dfs(r).count())))
-
-    val filterCCs = q.filters.toSeq.collect {
-      case (rel, dnf) if !dnf.isTrue =>
-        CC(rel, dnf, countOf(rel, dnf)(dfs(rel).filter(dnf.toColumn).count()))
-    }
-
-    // Left-deep join prefixes, each annotated with its output cardinality.
-    def filtered(rel: String): DataFrame = q.filters.get(rel) match {
-      case Some(p) if !p.isTrue => dfs(rel).filter(p.toColumn)
-      case _                    => dfs(rel)
-    }
-    var cur = filtered(q.root)
-    var pred = q.filters.getOrElse(q.root, Dnf.True)
-    val joinCCs = q.joined.map { d =>
-      val fk = q.relations
-        .flatMap(r => schema.byName(r).fks.filter(_.target == d))
-        .head // validated above: some earlier relation references d
-      val pk = schema.byName(d).pkCol
-      val fd = filtered(d)
-      cur = cur.join(fd, cur(fk.column) === fd(pk))
-      pred = pred.and(q.filters.getOrElse(d, Dnf.True))
-      val p = pred
-      CC(q.root, p, countOf(q.root, p)(cur.count()))
-    }
-    base ++ filterCCs ++ joinCCs
-  }
-
-  /** Extract and de-duplicate the CCs of a whole workload. */
   def extractWorkloadCCs(
       schema: SchemaDef,
       queries: Seq[Query],
       dfs: Map[String, DataFrame],
   ): Seq[CC] = {
-    val cache = scala.collection.mutable.Map[(String, String), Long]()
-    val all = queries.flatMap(q => extractQueryCCs(schema, q, dfs, cache))
-    val seen = scala.collection.mutable.LinkedHashMap[(String, String), CC]()
-    all.foreach(cc => seen.getOrElseUpdate(cc.dedupKey, cc))
-    seen.values.toSeq
+    val planned = scala.collection.mutable.LinkedHashMap[(String, String), CC]()
+    queries.foreach { q =>
+      validate(schema, q)
+      val filter = (r: String) => q.filters.getOrElse(r, Dnf.True)
+      val base = q.relations.map(CC(_, Dnf.True, 0))
+      val filterCCs = q.filters.toSeq.collect { case (rel, dnf) if !dnf.isTrue => CC(rel, dnf, 0) }
+      val joinCCs = q.joined.scanLeft(filter(q.root))((p, d) => p.and(filter(d))).tail
+        .map(CC(q.root, _, 0))
+      (base ++ filterCCs ++ joinCCs).foreach(cc => planned.getOrElseUpdate(cc.dedupKey, cc))
+    }
+    val ccs = planned.values.toSeq
+    val relations = ccs.map(_.relation).distinct
+    relations.foreach(checkSingleCopies(schema, _))
+    val counted = relations.flatMap { rel =>
+      val relCcs = ccs.filter(_.relation == rel)
+      val row = viewFrame(schema, dfs, rel, relCcs.flatMap(_.pred.attrs).toSet)
+        .select(relCcs.map(cc => count(when(cc.pred.toColumn, 1))): _*)
+        .head()
+      relCcs.zipWithIndex.map { case (cc, i) => cc.dedupKey -> row.getLong(i) }
+    }.toMap
+    ccs.map(cc => cc.copy(card = counted(cc.dedupKey)))
+  }
+
+  /** `rel`'s view (§3.2), as far as predicates over `attrs` need it: `rel`
+    * left-joined, recursively, along each FK whose target's closure holds
+    * one of `attrs`. Every tuple of `rel` stays one row; a dangling FK gives
+    * nulls, which satisfy no range, so such a row counts only for predicates
+    * that do not look at the missing relation.
+    */
+  private def viewFrame(schema: SchemaDef, dfs: Map[String, DataFrame], rel: String,
+                        attrs: Set[String]): DataFrame =
+    schema.byName(rel).fks
+      .filter(fk => schema.viewAttrs(fk.target).exists(attrs))
+      .foldLeft(dfs(rel)) { (acc, fk) =>
+        val target = viewFrame(schema, dfs, fk.target, attrs)
+        acc.join(target, acc(fk.column) === target(schema.byName(fk.target).pkCol), "left")
+      }
+
+  /** A view holds one copy of each relation in its FK closure
+    * ([[SchemaDef.viewAttrs]]); fail if `rel`'s closure reaches one twice.
+    */
+  private def checkSingleCopies(schema: SchemaDef, rel: String): Unit = {
+    val pathTo = scala.collection.mutable.Map[String, String]()
+    def visit(r: String, path: String): Unit = {
+      pathTo.get(r).foreach { first =>
+        throw new IllegalArgumentException(
+          s"FK closure of $rel reaches $r twice, via $first and via $path")
+      }
+      pathTo(r) = path
+      schema.byName(r).fks.foreach(fk => visit(fk.target, s"$path.${fk.column} → ${fk.target}"))
+    }
+    visit(rel, rel)
   }
 }

@@ -73,11 +73,17 @@ final case class Dnf(conjuncts: Seq[Conjunct]) {
   def isTrue: Boolean = conjuncts.isEmpty
   def eval(point: Map[String, Double]): Boolean =
     isTrue || conjuncts.exists(_.eval(point))
-  /** Conjoin two DNFs (distributes; drops contradictory conjuncts). */
+  /** Conjoin two DNFs (distributes; drops contradictory conjuncts). A
+    * contradiction has no DNF here (the empty one is `True`), so it fails.
+    */
   def and(o: Dnf): Dnf =
     if (isTrue) o
     else if (o.isTrue) this
-    else Dnf(for { a <- conjuncts; b <- o.conjuncts; c <- a.and(b) } yield c)
+    else {
+      val cs = for { a <- conjuncts; b <- o.conjuncts; c <- a.and(b) } yield c
+      require(cs.nonEmpty, s"contradiction: $toSql AND ${o.toSql} is unsatisfiable")
+      Dnf(cs)
+    }
   def toSql: String =
     if (isTrue) "TRUE" else conjuncts.map(_.toSql).mkString("(", " OR ", ")")
   def toColumn: Column =

@@ -1,6 +1,7 @@
 package repro.hydra
 
 import java.util
+import java.util.OptionalLong
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
@@ -24,9 +25,12 @@ import scala.jdk.CollectionConverters._
   * cumulative-NumTuples lookup — so databases of arbitrary size exist only
   * at query-execution time.
   *
-  * Options: `path` (summary file), `relation`, `numPartitions` (default 16),
-  * `startPk`/`endPk` (generate only PKs in `(startPk, endPk]` — used for
-  * slicing unboundedly large regenerated relations).
+  * Options: `path` (summary file), `relation`, `numPartitions` (default
+  * `min(16, ceil(rows / 65536))` splits of the PK window), `startPk`/`endPk`
+  * (generate only PKs in `(startPk, endPk]` — used for slicing unboundedly
+  * large regenerated relations). The scan reports the window's exact row
+  * count to Catalyst, so joins over regenerated relations are planned with
+  * real sizes (e.g. dimensions are broadcast).
   */
 class SummarySource extends TableProvider {
   override def inferSchema(options: CaseInsensitiveStringMap): StructType =
@@ -69,18 +73,29 @@ private[hydra] class SummaryTable(tableSchema: StructType, props: Map[String, St
 }
 
 private[hydra] class SummaryScan(tableSchema: StructType, options: Map[String, String])
-    extends Scan with Batch {
+    extends Scan with Batch with SupportsReportStatistics {
   private val rel = SummarySource.loadRelation(options)
   private val opts = options.map { case (k, v) => k.toLowerCase -> v }
   private val startPk = opts.get("startpk").map(_.toLong).getOrElse(0L)
   private val endPk = opts.get("endpk").map(_.toLong).getOrElse(rel.total)
-  private val numPartitions = opts.get("numpartitions").map(_.toInt).getOrElse(16)
+  private val span = math.max(0L, endPk - startPk)
+  // Without the option, one split per 65 536 rows, at most 16, so that a
+  // small relation is one task.
+  private val numPartitions = opts.get("numpartitions").map(_.toInt)
+    .getOrElse(math.min(16L, (span + 65535) / 65536).toInt)
 
   override def readSchema(): StructType = tableSchema
   override def toBatch: Batch = this
 
+  override def estimateStatistics(): Statistics = new Statistics {
+    override def numRows(): OptionalLong = OptionalLong.of(span)
+    // §7.4 totals reach ~1e16 rows: saturate rather than wrap.
+    override def sizeInBytes(): OptionalLong = OptionalLong.of(
+      try Math.multiplyExact(span, readSchema().defaultSize.toLong)
+      catch { case _: ArithmeticException => Long.MaxValue })
+  }
+
   override def planInputPartitions(): Array[InputPartition] = {
-    val span = math.max(0L, endPk - startPk)
     val parts = math.max(1, math.min(numPartitions.toLong, math.max(1L, span)).toInt)
     val chunk = (span + parts - 1) / math.max(1, parts)
     (0 until parts).iterator
@@ -149,13 +164,16 @@ private[hydra] class SummaryPartitionReader(rel: RelationSummary, start: Long, e
 /** Convenience entry points around [[SummarySource]]. */
 object TupleGenerator {
 
-  /** Dynamically regenerated relation as a DataFrame (DSv2 scan). */
+  /** Dynamically regenerated relation as a DataFrame (DSv2 scan). A
+    * negative `numPartitions`, `startPk` or `endPk` leaves that option at
+    * its [[SummarySource]] default.
+    */
   def dataFrame(spark: SparkSession, summaryPath: String, relation: String,
-                numPartitions: Int = 16, startPk: Long = -1, endPk: Long = -1): DataFrame = {
+                numPartitions: Int = -1, startPk: Long = -1, endPk: Long = -1): DataFrame = {
     var r = spark.read
       .format(classOf[SummarySource].getName)
       .option("relation", relation)
-      .option("numPartitions", numPartitions)
+    if (numPartitions >= 0) r = r.option("numPartitions", numPartitions)
     if (startPk >= 0) r = r.option("startPk", startPk)
     if (endPk >= 0) r = r.option("endPk", endPk)
     r.load(summaryPath)
@@ -180,7 +198,7 @@ object TupleGenerator {
 
   /** Materialize every relation of a summary as parquet ("static" mode). */
   def materialize(spark: SparkSession, summaryPath: String, outDir: String,
-                  numPartitions: Int = 16): Unit = {
+                  numPartitions: Int = -1): Unit = {
     val db = DbSummary.load(summaryPath)
     db.relations.foreach { r =>
       dataFrame(spark, summaryPath, r.relation, numPartitions)

@@ -79,4 +79,10 @@ class DnfSpec extends AnyFunSuite {
   test("attrs union") {
     assert(d1.attrs == Set("a", "b"))
   }
+  test("and of contradictory DNFs fails instead of returning True") {
+    val d2 = Dnf.of(Conjunct.range("a", 20, 30))
+    val d3 = Dnf.of(Conjunct.range("a", 40, 50), Conjunct.range("a", 0, 10))
+    val e = intercept[IllegalArgumentException](d2.and(d3))
+    assert(e.getMessage.contains(d2.toSql) && e.getMessage.contains(d3.toSql), e.getMessage)
+  }
 }

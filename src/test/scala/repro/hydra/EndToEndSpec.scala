@@ -49,16 +49,14 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("re-executing the workload on regenerated data reproduces the AQP cardinalities") {
-    // Spark-side verification of volumetric similarity for a subset of the
-    // workload (summary-side arithmetic is checked above for all CCs).
-    val cache = scala.collection.mutable.Map[(String, String), Long]()
-    val regenCcs = queries.take(3).flatMap(q => Aqp.extractQueryCCs(schema, q, regen, cache))
-    val want = ccs.map(c => c.dedupKey -> c.card).toMap
-    regenCcs.foreach { got =>
-      val expect = want(got.dedupKey)
+    val regenCcs = Aqp.extractWorkloadCCs(schema, queries, regen)
+    assert(regenCcs.map(_.dedupKey) == ccs.map(_.dedupKey))
+    regenCcs.zip(ccs).foreach { case (got, want) =>
       val slack = result.extraTuples.getOrElse(got.relation, 0L)
-      assert(got.card >= expect && got.card <= expect + slack,
-        s"regen CC ${got.relation}/${got.pred.toSql}: want $expect, got ${got.card} (slack $slack)")
+      assert(got.card == result.ccCount(want),
+        s"regen CC ${got.relation}/${got.pred.toSql}: ${got.card}, summary says ${result.ccCount(want)}")
+      assert(got.card >= want.card && got.card <= want.card + slack,
+        s"regen CC ${got.relation}/${got.pred.toSql}: want ${want.card}, got ${got.card} (slack $slack)")
     }
   }
 

@@ -1,5 +1,6 @@
 package repro.hydra
 
+import org.apache.spark.sql.execution.joins.BroadcastHashJoinExec
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core._
@@ -104,6 +105,38 @@ class TupleGeneratorSpec extends SparkSpec {
     val many = TupleGenerator.dataFrame(spark, summaryPath, "S", numPartitions = 7)
     assert(many.rdd.getNumPartitions == 7)
     assert(one.exceptAll(many).isEmpty && many.exceptAll(one).isEmpty)
+  }
+
+  test("default split count is one per 65 536 rows, at most 16") {
+    def oneRow(name: String, n: Long) =
+      RelationSummary(name, s"${name}_pk", Vector("x"), Vector.empty, Vector((Vector(0.0), Vector.empty, n)))
+    val p = java.nio.file.Files.createTempFile("tg-splits", ".summary").toString
+    DbSummary.save(DbSummary(Vector(oneRow("A", 1), oneRow("B", 65537), oneRow("C", 2000000))), p)
+    val splits = Seq("A", "B", "C").map(TupleGenerator.dataFrame(spark, p, _).rdd.getNumPartitions)
+    assert(splits == Seq(1, 2, 16))
+  }
+
+  test("scan reports the PK window's exact row count, and a size that saturates") {
+    def stats(df: org.apache.spark.sql.DataFrame) = df.queryExecution.optimizedPlan.stats
+    assert(stats(TupleGenerator.dataFrame(spark, summaryPath, "R")).rowCount ==
+      Some(BigInt(result.summary.byName("R").total)))
+    assert(stats(TupleGenerator.dataFrame(spark, summaryPath, "R", startPk = 100, endPk = 250))
+      .rowCount == Some(BigInt(150)))
+    val huge = DbSummary(Vector(RelationSummary("H", "h_pk", Vector("x"), Vector.empty,
+      Vector((Vector(0.0), Vector.empty, Long.MaxValue / 4)))))
+    val p = java.nio.file.Files.createTempFile("tg-huge", ".summary").toString
+    DbSummary.save(huge, p)
+    val hs = stats(TupleGenerator.dataFrame(spark, p, "H"))
+    assert(hs.rowCount == Some(BigInt(Long.MaxValue / 4)) && hs.sizeInBytes == BigInt(Long.MaxValue))
+  }
+
+  test("a fact-dimension join over two DSv2 frames broadcasts the dimension") {
+    val session = spark.newSession() // the shared session disables broadcast joins
+    session.conf.set("spark.sql.autoBroadcastJoinThreshold", "10MB")
+    val r = TupleGenerator.dataFrame(session, summaryPath, "R")
+    val s = TupleGenerator.dataFrame(session, summaryPath, "S")
+    val plan = r.join(s, r("S_fk") === s("S_pk")).queryExecution.sparkPlan
+    assert(plan.collect { case j: BroadcastHashJoinExec => j }.nonEmpty, plan.treeString)
   }
 
   test("materialize writes parquet that matches the dynamic scan") {
