@@ -18,7 +18,6 @@ final case class Interval(lo: Double, hi: Double) {
   /** Parts of this interval NOT covered by `o` (0, 1 or 2 pieces). */
   def minus(o: Interval): Seq[Interval] =
     Seq(Interval(lo, math.min(hi, o.lo)), Interval(math.max(lo, o.hi), hi)).filterNot(_.isEmpty)
-  def overlaps(o: Interval): Boolean = !intersect(o).isEmpty
 }
 
 /** A single per-attribute range restriction: `attr ∈ [lo, hi)`. */

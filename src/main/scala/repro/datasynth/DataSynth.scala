@@ -77,8 +77,6 @@ object DataSynth {
       viewTuples: Map[String, mutable.ArrayBuffer[Array[Double]]],
       fkVals: Map[String, Vector[Array[Long]]],
       extraTuples: Map[String, Long],
-      instantiateMillis: Long,
-      riMillis: Long,
   )
 
   /** Sample full view instantiations from the grid-LP masses, then repair
@@ -87,7 +85,6 @@ object DataSynth {
   def instantiate(schema: SchemaDef, grids: Seq[ViewGrid], ccs: Seq[CC], seed: Long): Result = {
     require(grids.forall(_.solvable), "cannot instantiate: a grid LP was unsolvable")
     val rnd = new java.util.Random(seed)
-    val t0 = System.nanoTime()
 
     // Global per-attribute boundary registry for cell-granularity matching.
     val gridRels = grids.map(_.relation).toSet
@@ -158,10 +155,10 @@ object DataSynth {
       }
       viewTuples(g.relation) = tuples
     }
-    val instantiateMillis = (System.nanoTime() - t0) / 1000000
 
     // Referential-integrity repair + FK assignment at cell granularity.
-    val t1 = System.nanoTime()
+    // Dependents first: every view that appends to `t` runs before `t`'s
+    // own FK pass, so that pass covers the appended tuples too.
     val extras = mutable.Map[String, Long]().withDefaultValue(0L)
     val fkVals = mutable.Map[String, Vector[Array[Long]]]()
     def sigOf(vals: Array[Double], attrs: Seq[String], idx: Seq[Int]): Vector[Int] =
@@ -196,34 +193,7 @@ object DataSynth {
       }
       fkVals(rel) = fkCols
     }
-    // FK columns for tuples appended during repair (dependents-first order
-    // means a repaired view's own FK pass has already run — extend columns).
-    for (rel <- schema.dependentsFirst if viewTuples.contains(rel)) {
-      val r = schema.byName(rel)
-      val cols = fkVals.getOrElse(rel, Vector.empty)
-      val n = viewTuples(rel).size
-      fkVals(rel) = cols.zip(r.fks).map { case (col, fk) =>
-        if (col.length == n) col
-        else {
-          val tAttrs = viewAttrs(fk.target)
-          val proj = tAttrs.map(a => viewAttrs(rel).indexOf(a))
-          val index = mutable.HashMap[Vector[Int], Int]()
-          viewTuples(fk.target).zipWithIndex.foreach { case (tv, i) =>
-            index.getOrElseUpdate(sigOf(tv, tAttrs, tAttrs.indices), i)
-          }
-          val out = java.util.Arrays.copyOf(col, n)
-          var i = col.length
-          while (i < n) {
-            val sig = sigOf(viewTuples(rel)(i), tAttrs, proj)
-            out(i) = index.getOrElse(sig, 0) + 1L
-            i += 1
-          }
-          out
-        }
-      }
-    }
-    val riMillis = (System.nanoTime() - t1) / 1000000
-    Result(viewAttrs, viewTuples.toMap, fkVals.toMap, extras.toMap, instantiateMillis, riMillis)
+    Result(viewAttrs, viewTuples.toMap, fkVals.toMap, extras.toMap)
   }
 
   /** Cardinality of a CC on the instantiated database (view-tuple count). */

@@ -22,6 +22,10 @@ object LPFormulator {
     */
   final case class SubViewSolution(sub: SubView, rows: Vector[(Box, Long)])
 
+  /** `exact` is always true: [[solveIntegral]] throws rather than return a
+    * solution that misses a constraint. It is kept for callers that report
+    * it (the pipeline benchmark counts exact views).
+    */
   final case class ViewLpStats(
       relation: String,
       numSubViews: Int,
@@ -157,27 +161,30 @@ object LPFormulator {
     ViewLp(relation, total, subs, parts, eqs.result())
   }
 
-  /** Solve a view LP for an integral solution (Hydra path). */
+  /** Solve a view LP for an integral solution (Hydra path); fails, naming
+    * the view, if the LP is infeasible or has no integral solution.
+    */
   def solveIntegral(lp: ViewLp): ViewLpResult = {
     val t0 = System.nanoTime()
     if (lp.subs.isEmpty) {
       val stats = ViewLpStats(lp.relation, 0, 0, 0, 0, exact = true)
       return ViewLpResult(lp.relation, lp.total, Vector.empty, stats)
     }
-    val sol = Simplex
-      .feasibleIntegral(lp.nVars, lp.eqs)
-      .getOrElse(throw new IllegalStateException(
-        s"infeasible LP for view ${lp.relation} (${lp.eqs.size} eqs, ${lp.nVars} vars)"))
+    val size = s"${lp.eqs.size} eqs, ${lp.nVars} vars"
+    val sol = (try Simplex.feasibleIntegral(lp.nVars, lp.eqs) catch {
+      case e: IllegalStateException =>
+        throw new IllegalStateException(s"LP for view ${lp.relation} ($size): ${e.getMessage}", e)
+    }).getOrElse(throw new IllegalStateException(s"infeasible LP for view ${lp.relation} ($size)"))
     val solutions = lp.subs.indices.map { i =>
       val rows = lp.parts(i).zipWithIndex.flatMap { case (b, r) =>
-        val v = sol.values(lp.offsets(i) + r)
+        val v = sol(lp.offsets(i) + r)
         if (v.signum > 0) Some((b.boxes.head, v.toLong)) else None
       }
       SubViewSolution(lp.subs(i), rows)
     }.toVector
     val ms = (System.nanoTime() - t0) / 1000000
     ViewLpResult(lp.relation, lp.total, solutions,
-      ViewLpStats(lp.relation, lp.subs.size, lp.nVars, lp.eqs.size, ms, sol.exact))
+      ViewLpStats(lp.relation, lp.subs.size, lp.nVars, lp.eqs.size, ms, exact = true))
   }
 
   /** Solve a view LP over the rationals (DataSynth path: the masses feed a

@@ -78,10 +78,6 @@ object RegionPartition {
     p.map { case (boxes, alive) => (Block(boxes), alive) }
   }
 
-  /** Algorithm 2 (valid partition only — used by tests). */
-  def validPartition(domain: Box, attrs: Vector[String], subCs: Seq[Conjunct]): Vector[Block] =
-    validPartitionLabeled(domain, attrs, subCs.toVector).map(_._1)
-
   /** Algorithm 1: optimal partition of `domain` w.r.t. DNF constraints —
     * the valid partition coarsened by merging blocks with identical
     * constraint-satisfaction labels.

@@ -24,7 +24,7 @@ object SummaryGenerator {
     var curAttrs = Vector.empty[String]
     var curRows = Vector.empty[IRow]
     lp.solutions.foreach { s =>
-      val merged = mergeNext(schema, curAttrs, curRows, s)
+      val merged = mergeNext(lp.relation, curAttrs, curRows, s)
       curAttrs = merged._1; curRows = merged._2
     }
     if (curAttrs.isEmpty) {
@@ -46,12 +46,11 @@ object SummaryGenerator {
 
   /** One align-and-merge step (Algorithm 3 + §5.1.2–5.1.3): sort both sides
     * on the shared-attribute cells, split rows so counts pair up, then join
-    * positionally. With an exact LP solution the per-cell totals match by
-    * the consistency constraints; leftovers (inexact fallback only) reuse
-    * the last row of the shorter side.
+    * positionally. An exact LP solution makes the per-cell totals match by
+    * the consistency constraints; a cell whose totals differ fails.
     */
   private def mergeNext(
-      schema: SchemaDef,
+      relation: String,
       curAttrs: Vector[String],
       curRows: Vector[IRow],
       s: SubViewSolution,
@@ -66,7 +65,6 @@ object SummaryGenerator {
     val curSharedIdx = shared.map(curAttrs.indexOf)
     val sSharedIdx = shared.map(sAttrs.indexOf)
     val sNewIdx = newAttrs.map(sAttrs.indexOf)
-    val defaultsNew = newAttrs.map(a => { val at = schema.attrByName(a); Interval(at.lo, at.hi) })
 
     def sigOf(r: IRow, idx: Vector[Int]): Vector[Double] = idx.map(i => r.ivs(i).lo)
     val ga = curRows.groupBy(sigOf(_, curSharedIdx))
@@ -76,6 +74,13 @@ object SummaryGenerator {
     for (sig <- (ga.keySet ++ gb.keySet).toVector.sortBy(_.mkString(","))) {
       val as = ga.getOrElse(sig, Vector.empty)
       val bs = gb.getOrElse(sig, Vector.empty)
+      val (totalA, totalB) = (as.map(_.count).sum, bs.map(_.count).sum)
+      if (totalA != totalB) {
+        val cell = shared.zip(sig).map { case (a, lo) => s"$a from $lo" }.mkString(", ")
+        throw new IllegalStateException(
+          s"align & merge of view $relation: shared cell ($cell) has $totalA tuples in " +
+          s"(${curAttrs.mkString(", ")}) but $totalB in sub-view (${sAttrs.mkString(", ")})")
+      }
       var i = 0; var j = 0
       var remA = if (as.nonEmpty) as(0).count else 0L
       var remB = if (bs.nonEmpty) bs(0).count else 0L
@@ -86,24 +91,6 @@ object SummaryGenerator {
         remA -= take; remB -= take
         if (remA == 0) { i += 1; if (i < as.size) remA = as(i).count }
         if (remB == 0) { j += 1; if (j < bs.size) remB = bs(j).count }
-      }
-      // Inexact-LP fallbacks: pad with the opposite side's last row / defaults.
-      while (i < as.size) {
-        val ext = if (bs.nonEmpty) sNewIdx.map(bs.last.ivs) else defaultsNew
-        if (remA > 0) out += IRow(as(i).ivs ++ ext, remA)
-        i += 1; if (i < as.size) remA = as(i).count
-      }
-      while (j < bs.size) {
-        if (as.isEmpty && remB > 0) {
-          // No left-side row with this signature: synthesize one from domain
-          // defaults, copying the shared attributes from the right side.
-          val leftDefaults = curAttrs.map(a => { val at = schema.attrByName(a); Interval(at.lo, at.hi) })
-          val withShared = curSharedIdx.zip(sSharedIdx).foldLeft(leftDefaults) {
-            case (acc, (ci, si)) => acc.updated(ci, bs(j).ivs(si))
-          }
-          out += IRow(withShared ++ sNewIdx.map(bs(j).ivs), remB)
-        }
-        j += 1; if (j < bs.size) remB = bs(j).count
       }
     }
     (outAttrs, out.result())

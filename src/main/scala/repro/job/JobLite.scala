@@ -31,7 +31,7 @@ object JobLite {
   ))
 
   def rowCounts(sf: Double): Map[String, Long] = {
-    def n(base: Long, floor: Long = 1): Long = math.max(floor, (base * sf).toLong)
+    def n(base: Long, floor: Long): Long = math.max(floor, (base * sf).toLong)
     Map(
       "company"         -> n(23500, 50),
       "name"            -> n(400000, 200),

@@ -8,10 +8,11 @@ package repro.lp
   * fall-back to Bland's rule guarantees termination; all arithmetic is in
   * exact rationals so feasible systems are never misreported.
   *
-  * [[Simplex.feasibleIntegral]] layers a deterministic integrality search on
-  * top: fractional variables are pinned one at a time to ⌊v⌋ (or ⌈v⌉ if the
-  * floor is infeasible) and the LP re-solved, which in practice yields exact
-  * integer solutions for these near-unimodular partition systems.
+  * [[Simplex.feasibleIntegral]] adds branch-and-bound on top: a fractional
+  * variable `x_j = f` splits the search into `x_j ≤ ⌊f⌋` and `x_j ≥ ⌈f⌉`.
+  * These near-unimodular partition systems usually have an integral root
+  * solution, so the search rarely branches. If it finds no integer point
+  * within its node budget it fails; it never rounds.
   */
 object Simplex {
 
@@ -116,20 +117,15 @@ object Simplex {
     basis(r) = c
   }
 
-  /** Result of the integral search: values plus whether they satisfy the
-    * system exactly (false ⇒ floor-rounding fallback was used).
-    */
-  final case class IntegralSolution(values: Array[BigInt], exact: Boolean)
-
-  /** Find a non-negative *integer* solution of `{ eqs, x ≥ 0 }` with proper
+  /** Find a non-negative *integer* solution of `{ eqs, x ≥ 0 }` with
     * branch-and-bound: branch a fractional basic `x_j = f` into
     * `x_j ≤ ⌊f⌋` and `x_j ≥ ⌈f⌉`, each encoded as an equality with a fresh
-    * slack/surplus variable. Complete for these (bounded) systems up to the
-    * node budget; past the budget the LP relaxation is floored and the
-    * result flagged inexact. Returns None iff the LP itself is infeasible.
+    * slack/surplus variable. The root LP is node 1. Returns None iff the LP
+    * itself is infeasible; throws an `IllegalStateException` naming the
+    * nodes searched if no integer point is found within `maxNodes`.
     */
-  def feasibleIntegral(nVars: Int, eqs: Seq[Eq], maxNodes: Int = 1000): Option[IntegralSolution] = {
-    var nodes = 0
+  def feasibleIntegral(nVars: Int, eqs: Seq[Eq], maxNodes: Int = 1000): Option[Array[BigInt]] = {
+    var nodes = 1
 
     // Branch constraints are (varIdx, bound, isUpper); each contributes one
     // equality row with its own fresh slack variable at solve time.
@@ -142,30 +138,28 @@ object Simplex {
       feasible(total, eqs ++ extra).map(_.take(nVars))
     }
 
-    def search(branches: List[(Int, BigInt, Boolean)]): Option[Array[Rational]] = {
-      if (nodes >= maxNodes) return None
-      nodes += 1
-      solveWith(branches) match {
-        case None => None
-        case Some(sol) =>
-          sol.indexWhere(v => !v.isWhole) match {
-            case -1 => Some(sol)
-            case j =>
-              val f = sol(j)
-              search((j, f.floor, true) :: branches)
-                .orElse(search((j, f.ceil, false) :: branches))
-          }
+    def branch(sol: Array[Rational], branches: List[(Int, BigInt, Boolean)]): Option[Array[Rational]] =
+      sol.indexWhere(v => !v.isWhole) match {
+        case -1 => Some(sol)
+        case j =>
+          val f = sol(j)
+          search((j, f.floor, true) :: branches)
+            .orElse(search((j, f.ceil, false) :: branches))
       }
-    }
 
-    val root = feasible(nVars, eqs).getOrElse(return None)
-    if (root.forall(_.isWhole)) return Some(IntegralSolution(root.map(_.num), exact = true))
-    search(Nil) match {
-      case Some(sol) => Some(IntegralSolution(sol.map(_.num), exact = true))
-      case None =>
-        // Either the node budget ran out or no integer point exists; fall
-        // back to the floored LP relaxation and report inexactness.
-        Some(IntegralSolution(root.map(_.floor), exact = false))
+    def search(branches: List[(Int, BigInt, Boolean)]): Option[Array[Rational]] =
+      if (nodes >= maxNodes) None
+      else {
+        nodes += 1
+        solveWith(branches).flatMap(branch(_, branches))
+      }
+
+    solveWith(Nil).map { root =>
+      branch(root, Nil).getOrElse {
+        val why = if (nodes >= maxNodes) "node budget exhausted" else "no integer point exists"
+        throw new IllegalStateException(
+          s"no integral solution: $why after $nodes branch-and-bound nodes (budget $maxNodes)")
+      }.map(_.num)
     }
   }
 }

@@ -63,7 +63,7 @@ object TpcdsLite {
     * dimensions have floors so tiny SFs stay meaningful).
     */
   def rowCounts(sf: Double): Map[String, Long] = {
-    def n(base: Long, floor: Long = 1): Long = math.max(floor, (base * sf).toLong)
+    def n(base: Long, floor: Long): Long = math.max(floor, (base * sf).toLong)
     Map(
       "date_dim"      -> 2190L, // calendar does not scale
       "item"          -> n(18000, 100),

@@ -6,6 +6,7 @@ import repro.job.{JobLite, JobWorkload}
 
 class WorkloadGenSpec extends AnyFunSuite {
   private val schema = TpcdsLite.schema
+  private def overlaps(a: Interval, b: Interval): Boolean = !a.intersect(b).isEmpty
 
   private def spec(seed: Long = 1) = WorkloadSpec(
     numQueries = 10, maxDims = 2, filterProb = 0.8, maxDisjuncts = 2,
@@ -58,7 +59,7 @@ class WorkloadGenSpec extends AnyFunSuite {
       val distinct = xs.map(_._2).distinct
       for (i <- distinct.indices; j <- (i + 1) until distinct.size) {
         val (a, b) = (distinct(i), distinct(j))
-        assert(!a.overlaps(b) || a == b, s"$attr: partial overlap $a vs $b")
+        assert(!overlaps(a, b) || a == b, s"$attr: partial overlap $a vs $b")
       }
     }
   }
@@ -79,7 +80,7 @@ class WorkloadGenSpec extends AnyFunSuite {
   test("predicate intervals stay within attribute domains") {
     for {
       q <- WorkloadGen.generate(schema, TpcdsLite.facts, spec().copy(numQueries = 30))
-      (rel, dnf) <- q.filters; c <- dnf.conjuncts; r <- c.ranges
+      (_, dnf) <- q.filters; c <- dnf.conjuncts; r <- c.ranges
     } {
       val a = schema.attrByName(r.attr)
       assert(r.iv.lo >= a.lo && r.iv.hi <= a.hi, s"${r.attr}: ${r.iv} outside domain")

@@ -135,6 +135,35 @@ class DataSynthSpec extends AnyFunSuite {
     assert(e.getMessage.contains("relation V"), e.getMessage)
   }
 
+  test("RI repair along A→B→C gives every appended tuple a resolving FK") {
+    val chain = SchemaDef(Seq(
+      Relation("C3", "c3_pk", Seq(Attr("w", 0, 10)), Nil),
+      Relation("B2", "b2_pk", Seq(Attr("y", 0, 10)), Seq(ForeignKey("c_fk", "C3"))),
+      Relation("A1", "a1_pk", Seq(Attr("z", 0, 10)), Seq(ForeignKey("b_fk", "B2"))),
+    ))
+    // A1 puts every tuple at w ∈ [8,10), where B2 and C3 have none: repair
+    // appends to B2, and that appended B2 tuple needs a C3 tuple too.
+    val chainCcs = Seq(
+      CC("A1", Dnf.True, 20), CC("A1", between("w", 8, 10), 20),
+      CC("B2", Dnf.True, 10), CC("B2", between("w", 0, 2), 10),
+      CC("C3", Dnf.True, 5), CC("C3", between("w", 0, 2), 5))
+    val r = DataSynth.instantiate(chain, DataSynth.solveViews(chain, chainCcs), chainCcs, seed = 7)
+    assert(r.extraTuples == Map("B2" -> 1L, "C3" -> 1L), r.extraTuples)
+    val cellOf = (w: Double) => Seq(2.0, 8.0).count(_ <= w) // w cells of the CC boundaries
+    for (rel <- Seq("A1", "B2")) {
+      val fk = chain.byName(rel).fks.head
+      val (mine, target) = (r.viewTuples(rel), r.viewTuples(fk.target))
+      val (wMine, wTarget) = (r.viewAttrs(rel).indexOf("w"), r.viewAttrs(fk.target).indexOf("w"))
+      val col = r.fkVals(rel).head
+      assert(col.length == mine.size, s"$rel: ${col.length} FKs for ${mine.size} tuples")
+      mine.indices.foreach { i =>
+        assert(col(i) >= 1 && col(i) <= target.size, s"$rel tuple $i: FK ${col(i)} out of range")
+        assert(cellOf(target(col(i).toInt - 1)(wTarget)) == cellOf(mine(i)(wMine)),
+          s"$rel tuple $i: FK ${col(i)} points at another w cell")
+      }
+    }
+  }
+
   test("instantiation is deterministic in the seed") {
     val res2 = DataSynth.instantiate(schema, grids, ccs, seed = 99)
     assert(res2.viewTuples("S").map(_.toVector) == res.viewTuples("S").map(_.toVector))

@@ -115,9 +115,8 @@ class SimplexEdgeSpec extends AnyFunSuite {
       Eq(Seq(0 -> Rational.One, 1 -> Rational.One), Rational(big)),
       Eq(Seq(0 -> Rational.One), Rational(big / 3)))
     val s = Simplex.feasibleIntegral(2, eqs).get
-    assert(s.exact)
-    assert(s.values(0) + s.values(1) == big)
-    assert(s.values(0) == big / 3)
+    assert(s(0) + s(1) == big)
+    assert(s(0) == big / 3)
   }
 
   test("branch-and-bound closes a gap requiring a non-adjacent integer") {
@@ -126,13 +125,18 @@ class SimplexEdgeSpec extends AnyFunSuite {
       Eq(Seq(0 -> Rational.One, 1 -> Rational(2)), Rational(4)),
       Eq(Seq(0 -> Rational.One, 1 -> Rational.One), Rational(3)))
     val s = Simplex.feasibleIntegral(2, eqs).get
-    assert(s.exact && s.values.toSeq == Seq(BigInt(2), BigInt(1)))
+    assert(s.toSeq == Seq(BigInt(2), BigInt(1)))
   }
 
-  test("genuinely fractional-only system reports inexact") {
-    // 2*x0 = 1 has no integer solution.
+  test("genuinely fractional-only system fails, naming the B&B node count") {
+    // 2*x0 = 1 has no integer solution: the root (x0 = 1/2) and both
+    // branches (x0 ≤ 0, x0 ≥ 1) are searched, and neither branch is feasible.
     val eqs = Seq(Eq(Seq(0 -> Rational(2)), Rational.One))
-    val s = Simplex.feasibleIntegral(1, eqs).get
-    assert(!s.exact)
+    val e = intercept[IllegalStateException](Simplex.feasibleIntegral(1, eqs))
+    assert(e.getMessage.contains("no integer point exists after 3 branch-and-bound nodes"),
+      e.getMessage)
+    val cut = intercept[IllegalStateException](Simplex.feasibleIntegral(1, eqs, maxNodes = 1))
+    assert(cut.getMessage.contains("node budget exhausted after 1 branch-and-bound nodes (budget 1)"),
+      cut.getMessage)
   }
 }

@@ -13,6 +13,10 @@ class RegionSpec extends AnyFunSuite with PropSupport {
   private val attrs = Vector("age", "salary")
   private val domain = Box(Vector(Interval(0, 100), Interval(0, 100000)))
 
+  /** Algorithm 2 (valid partition only). */
+  private def validPartition(domain: Box, attrs: Vector[String], subCs: Seq[Conjunct]): Vector[Block] =
+    RegionPartition.validPartitionLabeled(domain, attrs, subCs.toVector).map(_._1)
+
   private val c1 = Dnf.of( // age < 40 ∧ salary < 40K
     Conjunct.of(Seq(AttrRange("age", Interval(Double.NegativeInfinity, 40)),
       AttrRange("salary", Interval(Double.NegativeInfinity, 40000)))).get)
@@ -36,7 +40,7 @@ class RegionSpec extends AnyFunSuite with PropSupport {
 
   test("valid partition is homogeneous within every block") {
     val subCs = Seq(c1, c2).flatMap(_.conjuncts)
-    val valid = RegionPartition.validPartition(domain, attrs, subCs)
+    val valid = validPartition(domain, attrs, subCs)
     valid.foreach { block =>
       val sigs = block.boxes.map { box =>
         val rep = attrs.zip(box.loPoint).toMap

@@ -38,6 +38,20 @@ class SummaryGeneratorSpec extends AnyFunSuite {
     assert(vt.rows.filter(r => r._1(2) == 2.0).map(_._2).sum == 45000) // C in [2,3)
   }
 
+  test("sub-views whose totals differ on a shared cell fail, naming view and cell") {
+    // Both sides hold 50 000 tuples, but A=[20,40) has 20 000 vs 25 000.
+    val ab = SubViewSolution(SubView(Vector("A", "B")), Vector(
+      (box((20, 40), (5, 8)), 20000L),
+      (box((40, 60), (5, 8)), 30000L)))
+    val ac = SubViewSolution(SubView(Vector("A", "C")), Vector(
+      (box((20, 40), (2, 3)), 25000L),
+      (box((40, 60), (2, 3)), 25000L)))
+    val e = intercept[IllegalStateException](SummaryGenerator.viewSolution(schema,
+      ViewLpResult("V", 50000, Vector(ab, ac), stats("V"))))
+    assert(e.getMessage.contains("view V: shared cell (A from 20.0) has 20000 tuples"), e.getMessage)
+    assert(e.getMessage.contains("but 25000 in sub-view (A, C)"), e.getMessage)
+  }
+
   test("instantiation assigns interval left boundaries (§5.2)") {
     val sol = SubViewSolution(SubView(Vector("A", "B")), Vector(
       (box((20, 30), (5, 8)), 10000L)))

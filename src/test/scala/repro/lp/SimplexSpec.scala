@@ -96,27 +96,24 @@ class SimplexSpec extends AnyFunSuite with PropSupport {
       eq(2000, 1 -> 1L, 2 -> 1L),
       eq(8000, 0 -> 1L, 1 -> 1L, 2 -> 1L, 3 -> 1L))
     val s = feasibleIntegral(4, eqs).get
-    assert(s.exact)
-    assert(s.values.forall(_ >= 0))
-    assert(s.values(0) + s.values(1) == BigInt(1000))
-    assert(s.values(1) + s.values(2) == BigInt(2000))
-    assert(s.values.sum == BigInt(8000))
+    assert(s.forall(_ >= 0))
+    assert(s(0) + s(1) == BigInt(1000))
+    assert(s(1) + s(2) == BigInt(2000))
+    assert(s.sum == BigInt(8000))
   }
 
   test("integral on system with fractional-looking structure") {
     // x0 + x1 = 3, x0 + x2 = 3, x1 + x2 = 4 → x = (1,2,2)
     val eqs = Seq(eq(3, 0 -> 1L, 1 -> 1L), eq(3, 0 -> 1L, 2 -> 1L), eq(4, 1 -> 1L, 2 -> 1L))
     val s = feasibleIntegral(3, eqs).get
-    assert(s.exact)
-    assert(s.values.toSeq == Seq(BigInt(1), BigInt(2), BigInt(2)))
+    assert(s.toSeq == Seq(BigInt(1), BigInt(2), BigInt(2)))
   }
 
   test("odd cycle forcing fractional LP vertex still integralizes") {
     // x0+x1 = 1, x1+x2 = 1, x0+x2 = 2 → x=(1,0,1) integral feasible.
     val eqs = Seq(eq(1, 0 -> 1L, 1 -> 1L), eq(1, 1 -> 1L, 2 -> 1L), eq(2, 0 -> 1L, 2 -> 1L))
     val s = feasibleIntegral(3, eqs).get
-    assert(s.exact)
-    assert(s.values.toSeq == Seq(BigInt(1), BigInt(0), BigInt(1)))
+    assert(s.toSeq == Seq(BigInt(1), BigInt(0), BigInt(1)))
   }
 
   test("random feasible partition systems (property)") {
@@ -158,9 +155,9 @@ class SimplexSpec extends AnyFunSuite with PropSupport {
       feasibleIntegral(n, eqs) match {
         case None => false
         case Some(s) =>
-          s.exact && eqs.forall { e =>
+          eqs.forall { e =>
             e.coeffs.foldLeft(Rational.Zero) { case (sum, (j, c)) =>
-              sum + c * Rational(s.values(j))
+              sum + c * Rational(s(j))
             } == e.rhs
           }
       }
