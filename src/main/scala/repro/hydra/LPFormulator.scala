@@ -24,7 +24,9 @@ object LPFormulator {
 
   /** `exact` is always true: [[solveIntegral]] throws rather than return a
     * solution that misses a constraint. It is kept for callers that report
-    * it (the pipeline benchmark counts exact views).
+    * it (the pipeline benchmark counts exact views). `pivots` and `bbNodes`
+    * are the simplex pivots and LPs solved over the whole branch-and-bound
+    * search (root included); `nnz` counts the coefficients of the LP rows.
     */
   final case class ViewLpStats(
       relation: String,
@@ -33,6 +35,9 @@ object LPFormulator {
       numConstraints: Int,
       solveMillis: Long,
       exact: Boolean,
+      pivots: Long = 0,
+      bbNodes: Int = 0,
+      nnz: Int = 0,
   )
 
   final case class ViewLpResult(
@@ -135,10 +140,10 @@ object LPFormulator {
         Rational(total))
 
     // (b) CC constraints, encoded in every covering sub-view.
+    val reps = subs.indices.map(i => parts(i).map(_.representative(subs(i).attrs)))
     for (cc <- nonTrue; i <- subs.indices if cc.pred.attrs.subsetOf(subs(i).attrSet)) {
-      val vars = parts(i).zipWithIndex.collect {
-        case (b, r) if cc.pred.eval(b.representative(subs(i).attrs)) =>
-          (offsets(i) + r) -> Rational.One
+      val vars = reps(i).zipWithIndex.collect {
+        case (p, r) if cc.pred.eval(p) => (offsets(i) + r) -> Rational.One
       }
       eqs += Simplex.Eq(vars, Rational(cc.card))
     }
@@ -171,20 +176,25 @@ object LPFormulator {
       return ViewLpResult(lp.relation, lp.total, Vector.empty, stats)
     }
     val size = s"${lp.eqs.size} eqs, ${lp.nVars} vars"
-    val sol = (try Simplex.feasibleIntegral(lp.nVars, lp.eqs) catch {
+    val res = try Simplex.feasibleIntegral(lp.nVars, lp.eqs) catch {
       case e: IllegalStateException =>
         throw new IllegalStateException(s"LP for view ${lp.relation} ($size): ${e.getMessage}", e)
-    }).getOrElse(throw new IllegalStateException(s"infeasible LP for view ${lp.relation} ($size)"))
+    }
+    val sol = res.x.getOrElse(throw new IllegalStateException(s"infeasible LP for view ${lp.relation} ($size)"))
     val solutions = lp.subs.indices.map { i =>
       val rows = lp.parts(i).zipWithIndex.flatMap { case (b, r) =>
         val v = sol(lp.offsets(i) + r)
+        if (!v.isValidLong)
+          throw new ArithmeticException(
+            s"LP for view ${lp.relation}: variable ${lp.offsets(i) + r} = $v does not fit in a Long")
         if (v.signum > 0) Some((b.boxes.head, v.toLong)) else None
       }
       SubViewSolution(lp.subs(i), rows)
     }.toVector
     val ms = (System.nanoTime() - t0) / 1000000
     ViewLpResult(lp.relation, lp.total, solutions,
-      ViewLpStats(lp.relation, lp.subs.size, lp.nVars, lp.eqs.size, ms, exact = true))
+      ViewLpStats(lp.relation, lp.subs.size, lp.nVars, lp.eqs.size, ms, exact = true,
+        res.pivots, res.nodes, lp.eqs.map(_.coeffs.size).sum))
   }
 
   /** Solve a view LP over the rationals (DataSynth path: the masses feed a

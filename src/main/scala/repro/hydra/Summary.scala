@@ -31,9 +31,16 @@ final case class RelationSummary(
     fkCols: Vector[String],
     rows: Vector[(Vector[Double], Vector[Long], Long)],
 ) {
-  def total: Long = rows.map(_._3).sum
-  /** Cumulative row-start offsets (rows(i) covers PKs (starts(i), starts(i+1)]). */
-  lazy val starts: Vector[Long] = rows.scanLeft(0L)(_ + _._3)
+  def total: Long = starts.last
+  /** Cumulative row-start offsets (rows(i) covers PKs (starts(i), starts(i+1)]);
+    * a relation whose tuple count overflows a Long fails, naming it.
+    */
+  lazy val starts: Vector[Long] = rows.scanLeft(0L) { (s, r) =>
+    try Math.addExact(s, r._3) catch {
+      case e: ArithmeticException =>
+        throw new ArithmeticException(s"relation $relation: more than ${Long.MaxValue} tuples (${e.getMessage})")
+    }
+  }
 }
 
 final case class DbSummary(relations: Vector[RelationSummary]) {

@@ -81,7 +81,7 @@ private[hydra] class SummaryScan(tableSchema: StructType, options: Map[String, S
   // Without the option, one split per 65 536 rows, at most 16, so that a
   // small relation is one task.
   private val numPartitions = opts.get("numpartitions").map(_.toInt)
-    .getOrElse(math.min(16L, (span + 65535) / 65536).toInt)
+    .getOrElse(math.min(16L, SummaryScan.ceilDiv(span, 65536)).toInt)
 
   override def readSchema(): StructType = tableSchema
   override def toBatch: Batch = this
@@ -96,15 +96,25 @@ private[hydra] class SummaryScan(tableSchema: StructType, options: Map[String, S
 
   override def planInputPartitions(): Array[InputPartition] = {
     val parts = math.max(1, math.min(numPartitions.toLong, math.max(1L, span)).toInt)
-    val chunk = (span + parts - 1) / math.max(1, parts)
+    val chunk = SummaryScan.ceilDiv(span, parts)
+    // Offsets stay within the window, so no bound wraps near Long.MaxValue:
+    // i * chunk ≤ span whenever span ≥ parts², and otherwise
+    // i * chunk < span + parts < 2^62 + 2^31.
     (0 until parts).iterator
-      .map(i => SummaryInputPartition(rel, startPk + i * chunk,
-        math.min(endPk, startPk + (i + 1) * chunk)))
+      .map { i =>
+        val off = math.min(span, i * chunk)
+        SummaryInputPartition(rel, startPk + off, startPk + off + math.min(chunk, span - off))
+      }
       .filter(p => p.end > p.start)
       .toArray[InputPartition]
   }
 
   override def createReaderFactory(): PartitionReaderFactory = new SummaryReaderFactory
+}
+
+private[hydra] object SummaryScan {
+  /** ⌈a / b⌉ for a ≥ 0, b > 0, without the overflow of `(a + b - 1) / b`. */
+  def ceilDiv(a: Long, b: Long): Long = a / b + (if (a % b == 0) 0 else 1)
 }
 
 /** PK range `(start, end]` of one generated split; carries the (tiny)

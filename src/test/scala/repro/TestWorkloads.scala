@@ -1,0 +1,37 @@
+package repro
+
+import repro.core.{Aqp, CC, SchemaDef}
+import repro.hydra.LPFormulator
+import repro.hydra.LPFormulator.ViewLp
+import repro.job.{JobLite, JobWorkload}
+import repro.tpcds.{TpcdsLite, TpcdsWorkload}
+
+/** The WLs, WLc and JOB CC sets captured on the SF 0.002 client databases
+  * (the test scale), shared by the suites that need real view LPs. Each is
+  * captured once per test JVM.
+  */
+object TestWorkloads {
+  val sf = 0.002
+
+  final case class Captured(name: String, schema: SchemaDef, ccs: Seq[CC], totals: Map[String, Long]) {
+    /** Every view LP of the workload, as `Hydra.buildSummary` formulates it. */
+    lazy val viewLps: Seq[ViewLp] = {
+      val byRel = ccs.groupBy(_.relation)
+      schema.relations.map { r =>
+        val relCcs = byRel.getOrElse(r.name, Nil)
+        val (subs, parts) = LPFormulator.regionPartitions(schema, r.name, relCcs)
+        LPFormulator.build(schema, r.name, relCcs, CC.relationSize(r.name, relCcs, totals), subs, parts)
+      }
+    }
+  }
+
+  private lazy val tpcdsDb = TpcdsLite.clientDb(SparkSpec.shared, sf)
+
+  lazy val wls: Captured = Captured("WLs", TpcdsLite.schema,
+    Aqp.extractWorkloadCCs(TpcdsLite.schema, TpcdsWorkload.wls(), tpcdsDb), TpcdsLite.rowCounts(sf))
+  lazy val wlc: Captured = Captured("WLc", TpcdsLite.schema,
+    Aqp.extractWorkloadCCs(TpcdsLite.schema, TpcdsWorkload.wlc(), tpcdsDb), TpcdsLite.rowCounts(sf))
+  lazy val job: Captured = Captured("JOB", JobLite.schema,
+    Aqp.extractWorkloadCCs(JobLite.schema, JobWorkload.queries(), JobLite.clientDb(SparkSpec.shared, sf)),
+    JobLite.rowCounts(sf))
+}

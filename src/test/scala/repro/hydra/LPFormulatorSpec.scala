@@ -86,6 +86,19 @@ class LPFormulatorSpec extends AnyFunSuite {
     }
   }
 
+  test("a view count near Long.MaxValue / 2 converts exactly; one past Long fails, naming the view") {
+    val half = Long.MaxValue / 2
+    val ccs = Seq(cc(half - 5, ("x", 10, 50)))
+    val (subs, parts) = LPFormulator.regionPartitions(schema, "V", ccs)
+    val lp = LPFormulator.build(schema, "V", ccs, half, subs, parts)
+    val rows = LPFormulator.solveIntegral(lp).solutions.head.rows
+    assert(rows.map(_._2).sorted == Vector(5L, half - 5))
+    // Tripling every RHS triples the solution: 3·(half − 5) exceeds Long.MaxValue.
+    val tripled = lp.copy(eqs = lp.eqs.map(e => e.copy(rhs = e.rhs * repro.lp.Rational(3))))
+    val e = intercept[ArithmeticException](LPFormulator.solveIntegral(tripled))
+    assert(e.getMessage.contains("view V") && e.getMessage.contains("does not fit in a Long"), e.getMessage)
+  }
+
   test("overlapping CCs whose intersection is pinned down solve exactly") {
     // |x<50|=600, |x in [30,70)|=500, |x in [30,50)|=300 → consistent.
     val ccs = Seq(cc(600, ("x", 0, 50)), cc(500, ("x", 30, 70)), cc(300, ("x", 30, 50)))

@@ -114,7 +114,7 @@ class SimplexEdgeSpec extends AnyFunSuite {
     val eqs = Seq(
       Eq(Seq(0 -> Rational.One, 1 -> Rational.One), Rational(big)),
       Eq(Seq(0 -> Rational.One), Rational(big / 3)))
-    val s = Simplex.feasibleIntegral(2, eqs).get
+    val s = Simplex.feasibleIntegral(2, eqs).x.get
     assert(s(0) + s(1) == big)
     assert(s(0) == big / 3)
   }
@@ -124,7 +124,7 @@ class SimplexEdgeSpec extends AnyFunSuite {
     val eqs = Seq(
       Eq(Seq(0 -> Rational.One, 1 -> Rational(2)), Rational(4)),
       Eq(Seq(0 -> Rational.One, 1 -> Rational.One), Rational(3)))
-    val s = Simplex.feasibleIntegral(2, eqs).get
+    val s = Simplex.feasibleIntegral(2, eqs).x.get
     assert(s.toSeq == Seq(BigInt(2), BigInt(1)))
   }
 

@@ -148,6 +148,30 @@ class TupleGeneratorSpec extends SparkSpec {
     assert(hs.rowCount == Some(BigInt(Long.MaxValue / 4)) && hs.sizeInBytes == BigInt(Long.MaxValue))
   }
 
+  test("a relation of ≈Long.MaxValue tuples splits 16 ways over its whole PK window") {
+    val half = Long.MaxValue / 2
+    val huge = RelationSummary("H", "h_pk", Vector("x"), Vector.empty,
+      Vector((Vector(0.0), Vector.empty, half), (Vector(1.0), Vector.empty, half)))
+    assert(huge.starts == Vector(0L, half, 2 * half) && huge.total == Long.MaxValue - 1)
+    val p = java.nio.file.Files.createTempFile("tg-half", ".summary").toString
+    DbSummary.save(DbSummary(Vector(huge)), p)
+    for ((opts, want) <- Seq(Map.empty[String, String] -> 16, Map("numPartitions" -> "7") -> 7)) {
+      val splits = new SummaryScan(SummarySource.schemaFor(huge), opts ++ Map("path" -> p, "relation" -> "H"))
+        .planInputPartitions().map(_.asInstanceOf[SummaryInputPartition])
+      assert(splits.length == want, splits.map(s => (s.start, s.end)).mkString(" "))
+      assert(splits.head.start == 0 && splits.last.end == huge.total)
+      splits.sliding(2).foreach { case Array(a, b) => assert(a.end == b.start && a.end > a.start) }
+    }
+  }
+
+  test("a relation whose tuple count overflows a Long fails, naming it") {
+    val over = RelationSummary("Big", "b_pk", Vector("x"), Vector.empty,
+      Vector((Vector(0.0), Vector.empty, Long.MaxValue / 2 + 1), (Vector(1.0), Vector.empty, Long.MaxValue / 2 + 1)))
+    val e = intercept[ArithmeticException](over.total)
+    assert(e.getMessage.contains("relation Big"), e.getMessage)
+    intercept[ArithmeticException](over.starts)
+  }
+
   test("a fact-dimension join over two DSv2 frames broadcasts the dimension") {
     val session = spark.newSession() // the shared session disables broadcast joins
     session.conf.set("spark.sql.autoBroadcastJoinThreshold", "10MB")

@@ -2,7 +2,8 @@ package repro.lp
 
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop}
-import repro.PropSupport
+import repro.{PropSupport, SparkSpec, TestWorkloads}
+import repro.hydra.LPFormulator
 
 class RationalSpec extends AnyFunSuite with PropSupport {
   test("normalization") {
@@ -42,7 +43,7 @@ class RationalSpec extends AnyFunSuite with PropSupport {
   }
 }
 
-class SimplexSpec extends AnyFunSuite with PropSupport {
+class SimplexSpec extends SparkSpec with PropSupport {
   import Simplex._
 
   private def eq(rhs: Long, vars: (Int, Long)*): Eq =
@@ -95,7 +96,7 @@ class SimplexSpec extends AnyFunSuite with PropSupport {
       eq(1000, 0 -> 1L, 1 -> 1L),
       eq(2000, 1 -> 1L, 2 -> 1L),
       eq(8000, 0 -> 1L, 1 -> 1L, 2 -> 1L, 3 -> 1L))
-    val s = feasibleIntegral(4, eqs).get
+    val s = feasibleIntegral(4, eqs).x.get
     assert(s.forall(_ >= 0))
     assert(s(0) + s(1) == BigInt(1000))
     assert(s(1) + s(2) == BigInt(2000))
@@ -105,14 +106,14 @@ class SimplexSpec extends AnyFunSuite with PropSupport {
   test("integral on system with fractional-looking structure") {
     // x0 + x1 = 3, x0 + x2 = 3, x1 + x2 = 4 → x = (1,2,2)
     val eqs = Seq(eq(3, 0 -> 1L, 1 -> 1L), eq(3, 0 -> 1L, 2 -> 1L), eq(4, 1 -> 1L, 2 -> 1L))
-    val s = feasibleIntegral(3, eqs).get
+    val s = feasibleIntegral(3, eqs).x.get
     assert(s.toSeq == Seq(BigInt(1), BigInt(2), BigInt(2)))
   }
 
   test("odd cycle forcing fractional LP vertex still integralizes") {
     // x0+x1 = 1, x1+x2 = 1, x0+x2 = 2 → x=(1,0,1) integral feasible.
     val eqs = Seq(eq(1, 0 -> 1L, 1 -> 1L), eq(1, 1 -> 1L, 2 -> 1L), eq(2, 0 -> 1L, 2 -> 1L))
-    val s = feasibleIntegral(3, eqs).get
+    val s = feasibleIntegral(3, eqs).x.get
     assert(s.toSeq == Seq(BigInt(1), BigInt(0), BigInt(1)))
   }
 
@@ -152,7 +153,7 @@ class SimplexSpec extends AnyFunSuite with PropSupport {
         val vars = (0 until n).filter(sel)
         Eq(vars.map(_ -> Rational.One), Rational(vars.map(truth).sum))
       }
-      feasibleIntegral(n, eqs) match {
+      feasibleIntegral(n, eqs).x match {
         case None => false
         case Some(s) =>
           eqs.forall { e =>
@@ -162,5 +163,107 @@ class SimplexSpec extends AnyFunSuite with PropSupport {
           }
       }
     }, minTests = 60)
+  }
+
+  private def r(n: Long, d: Long = 1): Rational = Rational(n, d)
+
+  /** Chvátal's cycling example (Linear Programming, 1983, §3): max
+    * 10x0 − 57x1 − 9x2 − 24x3 s.t. ½x0 − 11/2·x1 − 5/2·x2 + 9x3 + x4 = 0,
+    * ½x0 − 3/2·x1 − ½x2 + x3 + x5 = 0, x0 + x6 = 1. The last row makes the
+    * phase-1 objective (the column sums) equal that objective, so Dantzig
+    * pricing with lowest-basis-index ratio ties cycles until Bland's rule
+    * takes over.
+    */
+  private val cycling: (Int, Seq[Eq]) = (7, Seq(
+    Eq(Seq(0 -> r(1, 2), 1 -> r(-11, 2), 2 -> r(-5, 2), 3 -> r(9), 4 -> r(1)), r(0)),
+    Eq(Seq(0 -> r(1, 2), 1 -> r(-3, 2), 2 -> r(-1, 2), 3 -> r(1), 5 -> r(1)), r(0)),
+    Eq(Seq(0 -> r(1), 6 -> r(1)), r(1)),
+    Eq(Seq(0 -> r(8), 1 -> r(-50), 2 -> r(-6), 3 -> r(-34), 4 -> r(-1), 5 -> r(-1), 6 -> r(-1)), r(0))))
+
+  private def blandAfter(n: Int, eqs: Seq[Eq]): Long = 4L * (eqs.size + n) + 200
+
+  /** Random systems: small signed coefficients (so repeated indices can sum
+    * to zero), zero RHS (degenerate vertices), RHS of either sign, often
+    * infeasible; 0/1 partition systems with a known solution; and the
+    * cycling example.
+    */
+  private val genSystem: Gen[(Int, Seq[Eq])] = {
+    val general = for {
+      n <- Gen.chooseNum(1, 25)
+      m <- Gen.chooseNum(0, 20)
+      eqs <- Gen.listOfN(m, for {
+        k <- Gen.chooseNum(0, 6)
+        coeffs <- Gen.listOfN(k, Gen.zip(Gen.chooseNum(0, n - 1), Gen.chooseNum(-3L, 3L)))
+        rhs <- Gen.frequency(3 -> Gen.const(0L), 5 -> Gen.chooseNum(-20L, 40L))
+      } yield Eq(coeffs.map { case (j, c) => j -> r(c) }, r(rhs)))
+    } yield (n, eqs)
+    val partition = for {
+      n <- Gen.chooseNum(2, 40)
+      truth <- Gen.listOfN(n, Gen.chooseNum(0L, 30L))
+      m <- Gen.chooseNum(1, 30)
+      subsets <- Gen.listOfN(m, Gen.listOfN(n, Gen.oneOf(true, false)))
+    } yield (n, subsets.map { sel =>
+      val vars = (0 until n).filter(sel)
+      Eq(vars.map(_ -> Rational.One), r(vars.map(truth).sum))
+    })
+    Gen.frequency(12 -> general, 6 -> partition, 1 -> Gen.const(cycling))
+  }
+
+  private def sameVertex(n: Int, eqs: Seq[Eq]): Boolean = {
+    val d = DenseSimplex.vertex(n, eqs)
+    val s = vertex(n, eqs)
+    d.pivots == s.pivots && d.x.map(_.toSeq) == s.x.map(_.toSeq)
+  }
+
+  test("Dantzig cycles on Chvátal's example; Bland's rule ends it at the dense vertex") {
+    val (n, eqs) = cycling
+    val v = vertex(n, eqs)
+    assert(v.pivots > blandAfter(n, eqs), s"${v.pivots} pivots: the Bland fallback was not reached")
+    checkSolution(n, eqs, v.x.get)
+    assert(sameVertex(n, eqs))
+  }
+
+  test("sparse and dense simplex return the same vertex after the same pivots (property)") {
+    val seen = scala.collection.mutable.Set[String]()
+    checkProp(Prop.forAll(genSystem) { case (n, eqs) =>
+      val v = vertex(n, eqs)
+      if (v.x.isEmpty) seen += "infeasible"
+      if (eqs.exists(_.rhs.isZero)) seen += "zero rhs"
+      if (eqs.exists(_.rhs.signum < 0)) seen += "negative rhs"
+      if (eqs.exists(e => e.coeffs.map(_._1).distinct.size < e.coeffs.size)) seen += "repeated index"
+      if (v.pivots > blandAfter(n, eqs)) seen += "bland"
+      sameVertex(n, eqs)
+    }, minTests = 500)
+    assert(seen == Set("infeasible", "zero rhs", "negative rhs", "repeated index", "bland"))
+  }
+
+  for ((name, w) <- Seq("WLs" -> (() => TestWorkloads.wls), "WLc" -> (() => TestWorkloads.wlc),
+                        "JOB" -> (() => TestWorkloads.job)))
+    test(s"$name: sparse and dense simplex agree on every view LP") {
+      w().viewLps.foreach(lp => assert(sameVertex(lp.nVars, lp.eqs), s"view ${lp.relation}"))
+    }
+
+  for ((name, w) <- Seq("WLs" -> (() => TestWorkloads.wls), "JOB" -> (() => TestWorkloads.job)))
+    test(s"$name: sparse and dense branch-and-bound find the same integral point on every view") {
+      w().viewLps.foreach { lp =>
+        assert(feasibleIntegral(lp.nVars, lp.eqs).x.map(_.toSeq) ==
+          DenseSimplex.feasibleIntegral(lp.nVars, lp.eqs).map(_.toSeq), s"view ${lp.relation}")
+      }
+    }
+
+  test("JOB: the largest view reports the dense pivot count, its B&B nodes and its nnz") {
+    val lp = TestWorkloads.job.viewLps.maxBy(_.nVars)
+    val stats = LPFormulator.solveIntegral(lp).stats
+    assert(stats.bbNodes == 1, "the root LP of this view is integral")
+    assert(stats.pivots == DenseSimplex.vertex(lp.nVars, lp.eqs).pivots && stats.pivots > 0)
+    assert(stats.nnz == lp.eqs.map(_.coeffs.size).sum)
+  }
+
+  test("branch-and-bound reports its nodes and the pivots of every node") {
+    // x0 + 2·x1 = 1: the root vertex is x1 = ½; the branch x1 ≤ 0 (x1 + s = 0) gives (1, 0).
+    val eqs = Seq(eq(1, 0 -> 1L, 1 -> 2L))
+    val res = feasibleIntegral(2, eqs)
+    assert(res.x.get.toSeq == Seq(BigInt(1), BigInt(0)) && res.nodes == 2)
+    assert(res.pivots == vertex(2, eqs).pivots + vertex(3, eqs :+ eq(0, 1 -> 1L, 2 -> 1L)).pivots)
   }
 }
