@@ -30,6 +30,14 @@ object BenchEnv {
   lazy val wlsCcs: Seq[CC] = Aqp.extractWorkloadCCs(TpcdsLite.schema, wls, tpcdsDb)
   lazy val jobCcs: Seq[CC] = Aqp.extractWorkloadCCs(JobLite.schema, jobWl, jobDb)
 
+  /** The WLs CCs and the client's relation sizes on a database `k` times
+    * larger (the database-size axis of Figs 14 and 15 and §7.4); a count
+    * that overflows a Long fails, naming its relation.
+    */
+  def wlsScaled(k: Long): (Seq[CC], Map[String, Long]) =
+    (wlsCcs.map(_.scaled(k)),
+     TpcdsLite.rowCounts(sf).map { case (r, n) => r -> CC.scaledCount(r, n, k) })
+
   /** Render one reproduced table; benches print these and EXPERIMENTS.md
     * records them next to the paper's numbers.
     */

@@ -1,7 +1,6 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.CC
 import repro.datasynth.DataSynth
 import repro.hydra.{DbSummary, Hydra, TupleGenerator}
 import repro.tpcds.TpcdsLite
@@ -14,8 +13,6 @@ import repro.tpcds.TpcdsLite
   * instantiates and repairs every tuple before writing.
   */
 class Fig14MaterializationBench extends AnyFunSuite {
-
-  private def scaled(ccs: Seq[CC], k: Long): Seq[CC] = ccs.map(c => c.copy(card = c.card * k))
 
   test("Figure 14: data materialization time") {
     val spark = BenchEnv.spark
@@ -33,8 +30,7 @@ class Fig14MaterializationBench extends AnyFunSuite {
     }
 
     val rows = Seq(1L, 10L, 100L).map { k =>
-      val ccs = scaled(base, k)
-      val totals = TpcdsLite.rowCounts(BenchEnv.sf).map { case (r, n) => r -> n * k }
+      val (ccs, totals) = BenchEnv.wlsScaled(k)
 
       // Hydra: summary → dynamic generation → parquet.
       val (_, hydraMs) = BenchEnv.time {

@@ -16,8 +16,7 @@ class Fig15DataSupplyBench extends AnyFunSuite {
     val spark = BenchEnv.spark
     val schema = TpcdsLite.schema
     // ×100 the WLs-derived summary: store_sales ≈ 2.9 M rows etc.
-    val ccs = BenchEnv.wlsCcs.map(c => c.copy(card = c.card * 100))
-    val totals = TpcdsLite.rowCounts(BenchEnv.sf).map { case (r, n) => r -> n * 100 }
+    val (ccs, totals) = BenchEnv.wlsScaled(100)
     val res = Hydra.buildSummary(schema, ccs, totals)
     val sumPath = java.nio.file.Files.createTempFile("fig15", ".summary").toString
     DbSummary.save(res.summary, sumPath)
@@ -64,10 +63,8 @@ class ExabyteScaleBench extends AnyFunSuite {
 
   test("§7.4: summary generation time is independent of data scale") {
     val schema = TpcdsLite.schema
-    val base = BenchEnv.wlsCcs
     val rows = Seq(1L, 1000L, 1000000000L, 1000000000000L).map { k =>
-      val ccs = base.map(c => c.copy(card = c.card * k))
-      val totals = TpcdsLite.rowCounts(BenchEnv.sf).map { case (r, n) => r -> n * k }
+      val (ccs, totals) = BenchEnv.wlsScaled(k)
       val (res, ms) = BenchEnv.time(Hydra.buildSummary(schema, ccs, totals))
       val bytes = res.summary.relations.map(_.total).sum * 40 // ≈40 B/row
       (k, bytes, ms, res)

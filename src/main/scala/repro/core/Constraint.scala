@@ -14,9 +14,21 @@ import org.apache.spark.sql.functions.{count, when}
 final case class CC(relation: String, pred: Dnf, card: Long) {
   def dedupKey: (String, String) =
     (relation, pred.conjuncts.map(_.toSql).sorted.mkString("|"))
+
+  /** This CC on a database `k` times larger. */
+  def scaled(k: Long): CC = copy(card = CC.scaledCount(relation, card, k))
 }
 
 object CC {
+
+  /** `n * k` for a count `n` of `relation`; a product that overflows a Long
+    * fails, naming the relation.
+    */
+  def scaledCount(relation: String, n: Long, k: Long): Long =
+    try Math.multiplyExact(n, k) catch {
+      case e: ArithmeticException =>
+        throw new ArithmeticException(s"relation $relation: $n × $k tuples overflow a Long (${e.getMessage})")
+    }
 
   /** Size of `relation` given its CCs `relCcs`: the relation-size (`True`)
     * CC, else `fallbackTotals` (relations no query counts, e.g.
@@ -74,6 +86,8 @@ object Aqp {
     * (see [[viewFrame]]): under PK-FK integrity every tuple of a relation
     * joins exactly one tuple of each relation it references, so a filtered
     * count over the view equals the left-deep join's output cardinality.
+    * The relations' aggregates run concurrently ([[SparkJobs.perRelation]]);
+    * planning and validation stay on the calling thread.
     */
   def extractWorkloadCCs(
       schema: SchemaDef,
@@ -93,13 +107,15 @@ object Aqp {
     val ccs = planned.values.toSeq
     val relations = ccs.map(_.relation).distinct
     relations.foreach(checkSingleCopies(schema, _))
-    val counted = relations.flatMap { rel =>
-      val relCcs = ccs.filter(_.relation == rel)
+    if (relations.isEmpty) return Nil
+    val byRel = ccs.groupBy(_.relation)
+    val counted = SparkJobs.perRelation(dfs(relations.head).sparkSession.sparkContext, relations) { rel =>
+      val relCcs = byRel(rel)
       val row = viewFrame(schema, dfs, rel, relCcs.flatMap(_.pred.attrs).toSet)
         .select(relCcs.map(cc => count(when(cc.pred.toColumn, 1))): _*)
         .head()
       relCcs.zipWithIndex.map { case (cc, i) => cc.dedupKey -> row.getLong(i) }
-    }.toMap
+    }.flatten.toMap
     ccs.map(cc => cc.copy(card = counted(cc.dedupKey)))
   }
 

@@ -14,10 +14,18 @@ import scala.jdk.CollectionConverters._
   */
 final case class ViewTable(relation: String, attrs: Vector[String],
                            rows: Vector[(Vector[Double], Long)]) {
-  def total: Long = rows.map(_._2).sum
+  def total: Long = sum(rows.iterator.map(_._2))
   /** Count of tuples satisfying `pred` — the summary-side cardinality. */
   def countWhere(pred: repro.core.Dnf): Long =
-    rows.iterator.collect { case (v, c) if pred.eval(attrs.zip(v).toMap) => c }.sum
+    sum(rows.iterator.collect { case (v, c) if pred.eval(attrs.zip(v).toMap) => c })
+
+  /** Σ `counts`; a sum that overflows a Long fails, naming the relation. */
+  private def sum(counts: Iterator[Long]): Long = counts.foldLeft(0L) { (s, c) =>
+    try Math.addExact(s, c) catch {
+      case e: ArithmeticException =>
+        throw new ArithmeticException(s"relation $relation: more than ${Long.MaxValue} tuples (${e.getMessage})")
+    }
+  }
 }
 
 /** Summarized relation R̃ (§5.4): own non-key attribute values, FK values

@@ -4,12 +4,15 @@ import java.util
 import java.util.OptionalLong
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
 import org.apache.spark.sql.connector.expressions.Transform
+import org.apache.spark.sql.connector.metric.{CustomMetric, CustomSumMetric, CustomTaskMetric}
 import org.apache.spark.sql.connector.read._
+import org.apache.spark.sql.execution.vectorized.{ConstantColumnVector, OnHeapColumnVector}
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
+import org.apache.spark.sql.vectorized.{ColumnVector, ColumnarBatch}
+import repro.core.SparkJobs
 import scala.jdk.CollectionConverters._
 
 /** The Tuple Generator (§6), as a Spark DataSourceV2 source.
@@ -22,7 +25,10 @@ import scala.jdk.CollectionConverters._
   * yields a DataFrame whose scan produces tuples directly from the summary
   * — PK `r` is the row number, every other attribute is found by a
   * cumulative-NumTuples lookup — so databases of arbitrary size exist only
-  * at query-execution time.
+  * at query-execution time. The scan is columnar: a batch covers PKs of one
+  * summary row, so its non-key columns are constants
+  * ([[SummaryBatchReader]]). It reports the SQL metrics `generatedRows` and
+  * `generatedBatches`.
   *
   * Options: `path` (summary file), `relation`, `numPartitions` (default
   * `min(16, ceil(rows / 65536))` splits of the PK window), `startPk`/`endPk`
@@ -77,6 +83,8 @@ private[hydra] class SummaryScan(tableSchema: StructType, options: Map[String, S
   private val opts = options.map { case (k, v) => k.toLowerCase -> v }
   private val startPk = opts.get("startpk").map(_.toLong).getOrElse(0L)
   private val endPk = opts.get("endpk").map(_.toLong).getOrElse(rel.total)
+  require(startPk >= 0 && endPk <= rel.total,
+    s"relation ${rel.relation}: PK window ($startPk, $endPk] is outside its PKs 1..${rel.total}")
   private val span = math.max(0L, endPk - startPk)
   // Without the option, one split per 65 536 rows, at most 16, so that a
   // small relation is one task.
@@ -85,6 +93,9 @@ private[hydra] class SummaryScan(tableSchema: StructType, options: Map[String, S
 
   override def readSchema(): StructType = tableSchema
   override def toBatch: Batch = this
+  override def columnarSupportMode(): Scan.ColumnarSupportMode = Scan.ColumnarSupportMode.SUPPORTED
+  override def supportedCustomMetrics(): Array[CustomMetric] =
+    Array(new GeneratedRowsMetric, new GeneratedBatchesMetric)
 
   override def estimateStatistics(): Statistics = new Statistics {
     override def numRows(): OptionalLong = OptionalLong.of(span)
@@ -124,20 +135,34 @@ private[hydra] final case class SummaryInputPartition(
     rel: RelationSummary, start: Long, end: Long) extends InputPartition
 
 private[hydra] class SummaryReaderFactory extends PartitionReaderFactory {
-  override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
+  override def supportColumnarReads(partition: InputPartition): Boolean = true
+
+  override def createReader(partition: InputPartition): PartitionReader[InternalRow] =
+    throw new UnsupportedOperationException(
+      s"relation ${partition.asInstanceOf[SummaryInputPartition].rel.relation}: the summary scan is columnar only")
+
+  override def createColumnarReader(partition: InputPartition): PartitionReader[ColumnarBatch] = {
     val p = partition.asInstanceOf[SummaryInputPartition]
-    new SummaryPartitionReader(p.rel, p.start, p.end)
+    new SummaryBatchReader(p.rel, p.start, p.end)
   }
 }
 
-/** Generates tuples for PKs in `(start, end]`: advance a cursor through the
-  * summary's cumulative-count boundaries; all attribute values of a block
-  * are constant, so generation is a pointer bump per tuple (§6).
+/** Generates the tuples of PKs `(start, end]` in batches of at most
+  * [[SummaryBatchReader.BatchRows]] rows that never cross a summary row:
+  * within a batch every attribute and FK is one constant, set once per
+  * summary row, and the PK counts up by one (§6). The batch and its vectors
+  * are reused from one `next()` to the next.
   */
-private[hydra] class SummaryPartitionReader(rel: RelationSummary, start: Long, end: Long)
-    extends PartitionReader[InternalRow] {
+private[hydra] class SummaryBatchReader(rel: RelationSummary, start: Long, end: Long)
+    extends PartitionReader[ColumnarBatch] {
+  import SummaryBatchReader.BatchRows
+
   private val starts = rel.starts // starts(i) tuples precede row i
-  private var pk = start
+  private val pks = new OnHeapColumnVector(BatchRows, LongType)
+  private val attrs = rel.attrCols.map(_ => new ConstantColumnVector(BatchRows, DoubleType))
+  private val fks = rel.fkCols.map(_ => new ConstantColumnVector(BatchRows, LongType))
+  private val batch = new ColumnarBatch((pks +: (attrs ++ fks)).toArray[ColumnVector])
+  private var pk = start // last PK generated
   private var rowIdx = {
     // First block covering pk = start + 1: greatest i with starts(i) < start+1.
     var lo = 0; var hi = rel.rows.size - 1
@@ -147,28 +172,64 @@ private[hydra] class SummaryPartitionReader(rel: RelationSummary, start: Long, e
     }
     lo
   }
-  private var current: InternalRow = _
+  private var constantsOf = -1 // the summary row the constant vectors hold
+  private var batches = 0L
 
-  override def next(): Boolean = {
-    pk += 1
-    if (pk > end || rel.rows.isEmpty) false
+  override def next(): Boolean =
+    if (pk >= end) false
     else {
-      while (pk > starts(rowIdx + 1)) rowIdx += 1
-      val (attrs, fks, _) = rel.rows(rowIdx)
-      val vals = new Array[Any](1 + attrs.size + fks.size)
-      vals(0) = pk
-      var i = 0
-      while (i < attrs.size) { vals(1 + i) = attrs(i); i += 1 }
-      var j = 0
-      while (j < fks.size) { vals(1 + attrs.size + j) = fks(j); j += 1 }
-      current = new GenericInternalRow(vals)
+      while (pk + 1 > starts(rowIdx + 1)) rowIdx += 1
+      if (constantsOf != rowIdx) {
+        val (a, f, _) = rel.rows(rowIdx)
+        var i = 0
+        while (i < a.size) { attrs(i).setDouble(a(i)); i += 1 }
+        var j = 0
+        while (j < f.size) { fks(j).setLong(f(j)); j += 1 }
+        constantsOf = rowIdx
+      }
+      val n = math.min(BatchRows.toLong, math.min(end, starts(rowIdx + 1)) - pk).toInt
+      var k = 0
+      while (k < n) { pks.putLong(k, pk + 1 + k); k += 1 }
+      batch.setNumRows(n)
+      pk += n
+      batches += 1
       true
     }
-  }
 
-  override def get(): InternalRow = current
-  override def close(): Unit = ()
+  override def get(): ColumnarBatch = batch
+
+  override def currentMetricsValues(): Array[CustomTaskMetric] = Array(
+    SummaryBatchReader.taskMetric(GeneratedRowsMetric.Name, pk - start),
+    SummaryBatchReader.taskMetric(GeneratedBatchesMetric.Name, batches))
+
+  override def close(): Unit = batch.close()
 }
+
+private[hydra] object SummaryBatchReader {
+  /** Spark's default columnar batch size. */
+  val BatchRows = 4096
+
+  def taskMetric(metric: String, v: Long): CustomTaskMetric = new CustomTaskMetric {
+    override def name(): String = metric
+    override def value(): Long = v
+  }
+}
+
+/** SQL metric of the summary scan: tuples generated. */
+class GeneratedRowsMetric extends CustomSumMetric {
+  override def name(): String = GeneratedRowsMetric.Name
+  override def description(): String = "generated rows"
+}
+
+object GeneratedRowsMetric { val Name = "generatedRows" }
+
+/** SQL metric of the summary scan: columnar batches emitted. */
+class GeneratedBatchesMetric extends CustomSumMetric {
+  override def name(): String = GeneratedBatchesMetric.Name
+  override def description(): String = "generated batches"
+}
+
+object GeneratedBatchesMetric { val Name = "generatedBatches" }
 
 /** Convenience entry points around [[SummarySource]]. */
 object TupleGenerator {
@@ -188,12 +249,14 @@ object TupleGenerator {
     r.load(summaryPath)
   }
 
-  /** Materialize every relation of a summary as parquet ("static" mode). */
+  /** Materialize every relation of a summary as parquet ("static" mode);
+    * the relations are written concurrently ([[SparkJobs.perRelation]]).
+    */
   def materialize(spark: SparkSession, summaryPath: String, outDir: String): Unit = {
     val db = DbSummary.load(summaryPath)
-    db.relations.foreach { r =>
-      dataFrame(spark, summaryPath, r.relation)
-        .write.mode("overwrite").parquet(s"$outDir/${r.relation}")
+    SparkJobs.perRelation(spark.sparkContext, db.relations.map(_.relation)) { rel =>
+      dataFrame(spark, summaryPath, rel).write.mode("overwrite").parquet(s"$outDir/$rel")
     }
+    ()
   }
 }

@@ -112,10 +112,16 @@ class AqpSpec extends SparkSpec {
       ("WLs", schema, repro.tpcds.TpcdsWorkload.wls(), () => dfs),
       ("WLc", schema, repro.tpcds.TpcdsWorkload.wlc(), () => dfs),
       ("JOB", repro.job.JobLite.schema, repro.job.JobWorkload.queries(), () => jobDb)))
+  {
     test(s"$name: one aggregate per relation view gives the left-deep per-CC counts") {
       assert(Aqp.extractWorkloadCCs(wlSchema, wl, client()) ==
         LeftDeepAqp.extractWorkloadCCs(wlSchema, wl, client()))
     }
+    test(s"$name: three repeated concurrent captures are identical") {
+      val captures = Seq.fill(3)(Aqp.extractWorkloadCCs(wlSchema, wl, client()))
+      assert(captures.distinct.size == 1)
+    }
+  }
 
   test("capture runs one Spark action per relation that has CCs") {
     val session = spark.newSession() // its listeners hear only its own queries

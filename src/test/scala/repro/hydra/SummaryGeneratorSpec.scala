@@ -187,4 +187,26 @@ class DbSummarySpec extends AnyFunSuite {
     assert(vt.countWhere(Dnf.True) == 12)
     assert(vt.countWhere(Dnf.of(Conjunct.range("a", 9, 10))) == 0)
   }
+
+  test("ViewTable sums near Long.MaxValue / 2 are exact; one past Long fails, naming the relation") {
+    val half = Long.MaxValue / 2
+    val low = Dnf.of(Conjunct.range("a", 0, 2))
+    val fits = ViewTable("v", Vector("a"), Vector((Vector(1.0), half), (Vector(1.5), half), (Vector(3.0), 1L)))
+    assert(fits.total == Long.MaxValue && fits.countWhere(low) == Long.MaxValue - 1)
+    val over = ViewTable("big_view", Vector("a"), Vector((Vector(1.0), half + 1), (Vector(1.5), half + 1)))
+    for (sum <- Seq(() => over.total, () => over.countWhere(low), () => over.countWhere(Dnf.True))) {
+      val e = intercept[ArithmeticException](sum())
+      assert(e.getMessage.contains("relation big_view"), e.getMessage)
+    }
+  }
+
+  test("CC scaling near Long.MaxValue / 2 is exact; one past Long fails, naming the relation") {
+    val half = Long.MaxValue / 2
+    assert(CC("r", Dnf.True, half).scaled(2).card == Long.MaxValue - 1)
+    assert(CC.scaledCount("r", 2, half) == Long.MaxValue - 1)
+    val e1 = intercept[ArithmeticException](CC("store_sales", Dnf.True, half + 1).scaled(2))
+    assert(e1.getMessage.contains("relation store_sales"), e1.getMessage)
+    val e2 = intercept[ArithmeticException](CC.scaledCount("date_dim", half, 3))
+    assert(e2.getMessage.contains("relation date_dim"), e2.getMessage)
+  }
 }

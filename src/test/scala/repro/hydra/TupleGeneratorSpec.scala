@@ -1,6 +1,7 @@
 package repro.hydra
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.execution.datasources.v2.BatchScanExec
 import org.apache.spark.sql.execution.joins.BroadcastHashJoinExec
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
@@ -189,6 +190,86 @@ class TupleGeneratorSpec extends SparkSpec {
       val dyn = TupleGenerator.dataFrame(spark, summaryPath, rel)
       assert(disk.exceptAll(dyn).isEmpty && dyn.exceptAll(disk).isEmpty, s"parquet mismatch $rel")
     }
+  }
+
+  /** The batches the columnar reader gives for PKs `(start, end]`, each as
+    * its PKs and the attribute and FK values of its first and last row,
+    * copied out of the reused batch.
+    */
+  private def readBatches(rel: RelationSummary, start: Long, end: Long)
+      : Vector[(Vector[Long], Seq[Seq[Double]], Seq[Seq[Long]])] = {
+    val reader = new SummaryBatchReader(rel, start, end)
+    val out = Vector.newBuilder[(Vector[Long], Seq[Seq[Double]], Seq[Seq[Long]])]
+    try while (reader.next()) {
+      val b = reader.get()
+      val ends = Seq(0, b.numRows - 1)
+      out += ((Vector.tabulate(b.numRows)(b.column(0).getLong),
+        ends.map(k => rel.attrCols.indices.map(i => b.column(1 + i).getDouble(k))),
+        ends.map(k => rel.fkCols.indices.map(j => b.column(1 + rel.attrCols.size + j).getLong(k)))))
+    } finally reader.close()
+    out.result()
+  }
+
+  /** The fewest batches of at most 4 096 rows, none crossing a summary row,
+    * that cover PKs `(start, end]`.
+    */
+  private def fewestBatches(rel: RelationSummary, start: Long, end: Long): Long =
+    rel.rows.indices.map { i =>
+      val overlap = math.min(end, rel.starts(i + 1)) - math.max(start, rel.starts(i))
+      if (overlap <= 0) 0L else SummaryScan.ceilDiv(overlap, SummaryBatchReader.BatchRows)
+    }.sum
+
+  test("columnar reader: batches of at most 4096 rows inside one summary row, consecutive PKs, the row's constants") {
+    def rel(counts: Long*) = RelationSummary("B", "b_pk", Vector("x", "y"), Vector("f"),
+      counts.zipWithIndex.map { case (c, i) => (Vector(i.toDouble, -0.5 * i), Vector(100L + i), c) }.toVector)
+    val mixed = rel(0, 1, 4095, 0, 4096, 4097, 0)
+    val n = mixed.total // 12 289
+    val top = rel(Long.MaxValue - 5000, 0, 5000)
+    val cases = Seq(
+      (mixed, 0L, n), (mixed, 3L, n - 5), (mixed, 0L, 1L), (mixed, 1L, 4096L), (mixed, 4096L, 8192L),
+      (mixed, 8192L, n), (mixed, 4095L, 4097L), (mixed, 5000L, 5001L), (mixed, 100L, 9000L),
+      (mixed, n, n), (rel(), 0L, 0L), (rel(0, 0), 0L, 0L),
+      (top, Long.MaxValue - 9000, Long.MaxValue), (top, Long.MaxValue - 4097, Long.MaxValue - 1))
+    assert(top.total == Long.MaxValue)
+    for ((r, start, end) <- cases) {
+      val what = s"${r.rows.map(_._3)} ($start, $end]"
+      val batches = readBatches(r, start, end)
+      assert(batches.flatMap(_._1) == (start + 1 to end), what)
+      assert(batches.size == fewestBatches(r, start, end), what)
+      batches.foreach { case (pks, attrs, fks) =>
+        assert(pks.nonEmpty && pks.size <= 4096, what)
+        val i = r.starts.lastIndexWhere(_ < pks.head) // the summary row of the first PK
+        assert(pks.last <= r.starts(i + 1), s"$what: batch ${pks.head}..${pks.last} crosses row $i")
+        assert(attrs.forall(_ == r.rows(i)._1) && fks.forall(_ == r.rows(i)._2), what)
+      }
+    }
+    assert(fewestBatches(mixed, 0, n) == 5)
+  }
+
+  test("the row reader is gone: createReader fails, naming the relation") {
+    val rel = result.summary.byName("S")
+    val e = intercept[UnsupportedOperationException] {
+      new SummaryReaderFactory().createReader(SummaryInputPartition(rel, 0, 1))
+    }
+    assert(e.getMessage.contains("relation S"), e.getMessage)
+  }
+
+  test("the scan's SQL metrics count the PK window's generated rows and batches") {
+    val rel = result.summary.byName("R")
+    val df = TupleGenerator.dataFrame(spark, summaryPath, "R", startPk = 100, endPk = 5250)
+    assert(df.collect().length == 5150)
+    val scans = df.queryExecution.executedPlan.collect { case b: BatchScanExec => b }
+    assert(scans.size == 1 && scans.head.supportsColumnar, df.queryExecution.executedPlan.treeString)
+    assert(scans.head.metrics("generatedRows").value == 5150)
+    assert(scans.head.metrics("generatedBatches").value == fewestBatches(rel, 100, 5250))
+  }
+
+  test("a PK window outside the relation fails, naming it") {
+    val n = result.summary.byName("T").total
+    val e = intercept[IllegalArgumentException] {
+      TupleGenerator.dataFrame(spark, summaryPath, "T", startPk = 10, endPk = n + 1).count()
+    }
+    assert(e.getMessage.contains("relation T"), e.getMessage)
   }
 
   test("empty relation generates an empty DataFrame") {
