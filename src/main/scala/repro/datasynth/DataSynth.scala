@@ -49,7 +49,11 @@ object DataSynth {
       return ViewGrid(relation, total, subs, gridVars, None,
         (System.nanoTime() - t0) / 1000000)
     val parts = subs.map(GridPartition.cells(schema, nonTrue, _))
-    val lp = LPFormulator.build(schema, relation, ccs, total, subs, parts)
+    // Key sub-views by their grid cells: consistency holds cell by cell.
+    val cellKeys = subs.flatMap(_.attrs).distinct.flatMap { a =>
+      GridPartition.intervals(schema, nonTrue, a).map(iv => Conjunct.range(a, iv.lo, iv.hi))
+    }
+    val lp = LPFormulator.build(schema, relation, ccs, total, subs, parts, Some(cellKeys))
     val masses = LPFormulator.solveFractional(lp).map(
       _.map(_.map { case (b, r) => (b, r.toDouble) }))
     ViewGrid(relation, total, subs, gridVars,
@@ -221,6 +225,10 @@ object DataSynth {
         StructField(r.pkCol, LongType, nullable = false) +:
         (r.attrNames.map(StructField(_, DoubleType, nullable = false)) ++
          r.fks.map(fk => StructField(fk.column, LongType, nullable = false))))
-      rel -> spark.createDataFrame(spark.sparkContext.parallelize(rows, 16), sch)
+      val slices = math.max(1, (rows.size + RowsPerSlice - 1) / RowsPerSlice)
+      rel -> spark.createDataFrame(spark.sparkContext.parallelize(rows, slices), sch)
     }.toMap
+
+  /** Rows per task in [[toRelationDfs]]: below Spark's 1 000 KiB task-size warning. */
+  private val RowsPerSlice = 4096
 }

@@ -29,6 +29,10 @@ object GridPartition {
     (Vector(at.lo, at.hi) ++ consts).distinct.sorted
   }
 
+  /** The grid intervals of attribute `a`, in order. */
+  def intervals(schema: SchemaDef, ccs: Seq[CC], a: String): Vector[Interval] =
+    boundaries(schema, ccs, a).sliding(2).map(w => Interval(w(0), w(1))).toVector
+
   /** Exact number of grid cells of one sub-view. */
   def cellCount(schema: SchemaDef, ccs: Seq[CC], sub: SubView): BigInt =
     sub.attrs.map(a => BigInt(boundaries(schema, ccs, a).size - 1)).product
@@ -41,12 +45,10 @@ object GridPartition {
 
   /** Enumerate the grid cells of a sub-view as single-box blocks.
     * Because boundaries are per-attribute (view-wide), shared dimensions are
-    * automatically aligned across sub-views — no refinement needed.
+    * aligned across sub-views cell by cell.
     */
   def cells(schema: SchemaDef, ccs: Seq[CC], sub: SubView): Vector[Block] = {
-    val dims = sub.attrs.map { a =>
-      boundaries(schema, ccs, a).sliding(2).map(w => Interval(w(0), w(1))).toVector
-    }
+    val dims = sub.attrs.map(intervals(schema, ccs, _))
     dims.foldLeft(Vector(Vector.empty[Interval])) { (acc, ivs) =>
       for (prefix <- acc; iv <- ivs) yield prefix :+ iv
     }.map(ivs => Block(Vector(Box(ivs))))

@@ -8,19 +8,26 @@ import repro.lp.{Rational, Simplex}
   *
   * One variable per block of each sub-view's partition; constraints are
   * (a) the view total per sub-view, (b) each CC encoded over the blocks of
-  * every sub-view that covers its attributes, and (c) marginal-consistency
-  * equalities between every pair of sub-views sharing attributes.
+  * every sub-view that covers its attributes, and (c) consistency on each
+  * clique-tree edge: per key class of the child's separator, the child's
+  * blocks hold as many tuples as the parent's. A key class is a truth
+  * vector of the CC conjuncts restricted to the separator and to the
+  * separator intersections inside it. Every partition is homogeneous in
+  * those restrictions ([[regionPartitions]]), so on one key class each
+  * block is a product of the class and its other attributes, which is what
+  * lets align & merge ([[SummaryGenerator]]) pair tuples class by class.
   *
   * Hydra instantiates this with region partitions ([[RegionPartition]]);
-  * the DataSynth baseline reuses [[build]] with grid partitions.
+  * the DataSynth baseline reuses [[build]] with grid partitions, keyed by
+  * its grid intervals.
   */
 object LPFormulator {
 
-  /** Solution for one sub-view: RIP-ordered rows of (block-box, count).
-    * The box is the block's first box after shared-boundary refinement, so
-    * its shared-dimension intervals are atomic cells (alignment-ready).
+  /** Solution for one sub-view: RIP-ordered rows of (the block's first box,
+    * count). `key` lists the separator restrictions whose truth vector at a
+    * row's lo-corner is its key class (empty for the first sub-view).
     */
-  final case class SubViewSolution(sub: SubView, rows: Vector[(Box, Long)])
+  final case class SubViewSolution(sub: SubView, key: Vector[Conjunct], rows: Vector[(Box, Long)])
 
   /** `exact` is always true: [[solveIntegral]] throws rather than return a
     * solution that misses a constraint. It is kept for callers that report
@@ -47,26 +54,30 @@ object LPFormulator {
       stats: ViewLpStats,
   )
 
-  /** A fully formulated (but unsolved) view LP. */
+  /** A fully formulated (but unsolved) view LP; `keys(i)` are the separator
+    * restrictions that key sub-view `i` against its parent.
+    */
   final case class ViewLp(
       relation: String,
       total: Long,
       subs: Vector[SubView],
       parts: Vector[Vector[Block]],
+      keys: Vector[Vector[Conjunct]],
       eqs: Vector[Simplex.Eq],
   ) {
     val nVars: Int = parts.map(_.size).sum
     val offsets: Vector[Int] = parts.scanLeft(0)(_ + _.size)
   }
 
-  /** Number of LP variables (regions after refinement) without solving —
-    * used by the Fig. 12 / Fig. 17 complexity benches.
+  /** Number of LP variables (regions) without solving — used by the
+    * Fig. 12 / Fig. 17 complexity benches.
     */
   def variableCount(schema: SchemaDef, relation: String, ccs: Seq[CC]): Int =
     regionPartitions(schema, relation, ccs)._2.map(_.size).sum
 
-  /** Region partitions per sub-view, refined along shared-attribute
-    * boundaries so that consistency constraints are expressible.
+  /** Region partitions per sub-view: Algorithm 1 over the sub-view's CCs
+    * plus one single-conjunct DNF per CC conjunct restricted to each
+    * separator, or separator intersection, that the sub-view holds.
     */
   def regionPartitions(
       schema: SchemaDef,
@@ -75,51 +86,51 @@ object LPFormulator {
   ): (Vector[SubView], Vector[Vector[Block]]) = {
     val nonTrue = ccs.filterNot(_.pred.isTrue)
     val subs = ViewGraph.subViews(nonTrue)
+    val (_, _, family) = cliqueTree(relation, subs)
+    val conjuncts = nonTrue.flatMap(_.pred.conjuncts).distinct
     val partitions = subs.map { s =>
       val dnfs = nonTrue.filter(_.pred.attrs.subsetOf(s.attrSet)).map(_.pred)
-      RegionPartition.optimalPartition(domainOf(schema, s.attrs), s.attrs, dnfs)
+      val seps = restrictions(conjuncts, family, s.attrSet).map(Dnf.of(_))
+      RegionPartition.optimalPartition(domainOf(schema, s.attrs), s.attrs, dnfs ++ seps)
     }
-    (subs, alignSharedBoundaries(schema, subs, partitions))
+    (subs, partitions)
   }
 
   def domainOf(schema: SchemaDef, attrs: Vector[String]): Box =
     Box(attrs.map(a => { val at = schema.attrByName(a); Interval(at.lo, at.hi) }))
 
-  /** Refine each sub-view's partition so blocks respect the union of all
-    * sub-views' split points along shared attributes, and are homogeneous
-    * (single shared-cell signature) there.
+  /** The clique tree of RIP-ordered sub-views: each one's separator (the
+    * attributes it shares with the sub-views before it) and parent (the
+    * first sub-view holding the whole separator), and every non-empty
+    * intersection of separators. Fails, naming the view, if a separator
+    * lies in no earlier sub-view.
     */
-  def alignSharedBoundaries(
-      schema: SchemaDef,
-      subs: Vector[SubView],
-      partitions: Vector[Vector[Block]],
-  ): Vector[Vector[Block]] = {
-    val attrUses: Map[String, Seq[Int]] =
-      subs.zipWithIndex
-        .flatMap { case (s, i) => s.attrs.map(_ -> i) }
-        .groupBy(_._1)
-        .map { case (a, xs) => a -> xs.map(_._2) }
-    val sharedAttrs = attrUses.filter(_._2.size > 1).keySet
-    val splitPoints: Map[String, Seq[Double]] = sharedAttrs.map { a =>
-      val pts = attrUses(a).flatMap { i =>
-        val dim = subs(i).attrs.indexOf(a)
-        partitions(i).flatMap(_.boxes.flatMap(b => Seq(b.ivs(dim).lo, b.ivs(dim).hi)))
-      }
-      a -> pts.filterNot(_.isInfinite).distinct.sorted
-    }.toMap
-    subs.zipWithIndex.map { case (s, i) =>
-      val sharedDims = s.attrs.zipWithIndex.collect { case (a, d) if sharedAttrs(a) => d }
-      var blocks = partitions(i)
-      sharedDims.foreach { d =>
-        blocks = RegionPartition.refineDim(blocks, d, splitPoints(s.attrs(d)))
-      }
-      RegionPartition.splitBySignature(blocks, sharedDims)
+  private def cliqueTree(relation: String, subs: Vector[SubView])
+      : (Vector[Set[String]], Vector[Int], Vector[Set[String]]) = {
+    val seps = subs.indices.map(i => subs(i).attrSet.intersect(subs.take(i).flatMap(_.attrs).toSet)).toVector
+    val parents = seps.map(sep => subs.indexWhere(s => sep.subsetOf(s.attrSet)))
+    for (i <- 1 until subs.size if parents(i) == i)
+      throw new IllegalStateException(s"view $relation: no sub-view before " +
+        s"(${subs(i).attrs.mkString(", ")}) holds its separator (${seps(i).toVector.sorted.mkString(", ")})")
+    val family = seps.filter(_.nonEmpty).foldLeft(Set.empty[Set[String]]) { (f, sep) =>
+      f ++ f.map(_.intersect(sep)).filter(_.nonEmpty) + sep
     }
+    (seps, parents, family.toVector.sortBy(_.toVector.sorted.mkString(",")))
   }
 
-  /** Encode totals, CC constraints and pairwise consistency over the given
-    * per-sub-view partitions (Figure 7 of the paper, plus §4's consistency
-    * constraints).
+  /** `conjuncts` restricted to each set of `family` inside `within`,
+    * without duplicates and without the restrictions that are always true.
+    */
+  private def restrictions(conjuncts: Seq[Conjunct], family: Vector[Set[String]],
+                           within: Set[String]): Vector[Conjunct] =
+    (for (u <- family if u.subsetOf(within); c <- conjuncts;
+          r = Conjunct(c.ranges.filter(x => u(x.attr))) if r.ranges.nonEmpty) yield r).distinct
+
+  /** Encode totals, CC constraints and clique-tree consistency over the
+    * given per-sub-view partitions (Figure 7 of the paper, plus §4's
+    * consistency constraints). Key classes are truth vectors of
+    * `keySource`'s conjuncts restricted to the separators; `None` stands
+    * for the CCs' conjuncts, as in [[regionPartitions]].
     */
   def build(
       schema: SchemaDef,
@@ -128,6 +139,7 @@ object LPFormulator {
       total: Long,
       subs: Vector[SubView],
       parts: Vector[Vector[Block]],
+      keySource: Option[Seq[Conjunct]] = None,
   ): ViewLp = {
     val nonTrue = ccs.filterNot(_.pred.isTrue)
     val offsets = parts.scanLeft(0)(_ + _.size)
@@ -148,22 +160,18 @@ object LPFormulator {
       eqs += Simplex.Eq(vars, Rational(cc.card))
     }
 
-    // (c) Pairwise marginal consistency over shared attributes.
-    for (i <- subs.indices; j <- (i + 1) until subs.size) {
-      val shared = subs(i).attrSet.intersect(subs(j).attrSet).toVector.sorted
-      if (shared.nonEmpty) {
-        def sig(s: SubView, b: Block): Vector[Double] =
-          shared.map(a => b.boxes.head.ivs(s.attrs.indexOf(a)).lo)
-        val gi = parts(i).zipWithIndex.groupBy { case (b, _) => sig(subs(i), b) }
-        val gj = parts(j).zipWithIndex.groupBy { case (b, _) => sig(subs(j), b) }
-        for (k <- (gi.keySet ++ gj.keySet).toVector.sortBy(_.mkString(","))) {
-          val lhs = gi.getOrElse(k, Vector.empty).map { case (_, r) => (offsets(i) + r) -> Rational.One }
-          val rhs = gj.getOrElse(k, Vector.empty).map { case (_, r) => (offsets(j) + r) -> Rational(-1) }
-          eqs += Simplex.Eq(lhs ++ rhs, Rational.Zero)
-        }
-      }
+    // (c) Consistency on each clique-tree edge, one row per key class.
+    val (seps, parents, family) = cliqueTree(relation, subs)
+    val conjuncts = keySource.getOrElse(nonTrue.flatMap(_.pred.conjuncts).distinct)
+    val keys = seps.map(restrictions(conjuncts, family, _))
+    for (i <- subs.indices if keys(i).nonEmpty) {
+      def keyed(j: Int, coeff: Rational) =
+        reps(j).indices.map(r => keys(i).map(_.eval(reps(j)(r))) -> ((offsets(j) + r) -> coeff))
+      val vars = keyed(parents(i), Rational.One) ++ keyed(i, Rational(-1))
+      val byKey = vars.groupMap(_._1)(_._2)
+      for (k <- vars.map(_._1).distinct) eqs += Simplex.Eq(byKey(k), Rational.Zero)
     }
-    ViewLp(relation, total, subs, parts, eqs.result())
+    ViewLp(relation, total, subs, parts, keys, eqs.result())
   }
 
   /** Solve a view LP for an integral solution (Hydra path); fails, naming
@@ -189,7 +197,7 @@ object LPFormulator {
             s"LP for view ${lp.relation}: variable ${lp.offsets(i) + r} = $v does not fit in a Long")
         if (v.signum > 0) Some((b.boxes.head, v.toLong)) else None
       }
-      SubViewSolution(lp.subs(i), rows)
+      SubViewSolution(lp.subs(i), lp.keys(i), rows)
     }.toVector
     val ms = (System.nanoTime() - t0) / 1000000
     ViewLpResult(lp.relation, lp.total, solutions,

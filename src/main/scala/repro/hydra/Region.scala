@@ -9,6 +9,9 @@ import repro.core.{Conjunct, Dnf, Interval}
   * are split lazily, one dimension at a time, only by sub-constraints that
   * actually split them — crucially the "outside" of a split stays a single
   * block, which is what keeps region counts far below grid-cell counts.
+  * The blocks of one view's sub-views are never split again to align them:
+  * [[LPFormulator.regionPartitions]] hands Algorithm 1 each sub-view's
+  * separator restrictions as extra DNFs, and the labels do the rest.
   *
   * Implementation note: a literal reading of Algorithm 2 re-splits every
   * block by every sub-constraint at every dimension, which materializes a
@@ -94,32 +97,4 @@ object RegionPartition {
       .sortBy(_._2.head._1.boxes.head.loPoint.mkString(","))
       .map { case (_, bs) => Block(bs.flatMap(_._1.boxes)) }
   }
-
-  /** Split every box of every block at the given points along `dim`
-    * (block membership is unchanged — only box granularity increases).
-    */
-  def refineDim(blocks: Vector[Block], dim: Int, points: Seq[Double]): Vector[Block] = {
-    val ps = points.distinct.sorted
-    def splitBox(b: Box): Seq[Box] = {
-      val iv = b.ivs(dim)
-      val inner = ps.filter(p => p > iv.lo && p < iv.hi)
-      val bounds = (iv.lo +: inner) :+ iv.hi
-      bounds.sliding(2).map(w => Box(b.ivs.updated(dim, Interval(w(0), w(1))))).toSeq
-    }
-    blocks.map(b => Block(b.boxes.flatMap(splitBox)))
-  }
-
-  /** Split each block into sub-blocks that are homogeneous along the given
-    * dimensions (grouping boxes by their lo-corner signature there). Used to
-    * make regions respect shared-attribute cell boundaries so that
-    * consistency constraints and deterministic alignment are well defined.
-    */
-  def splitBySignature(blocks: Vector[Block], dims: Seq[Int]): Vector[Block] =
-    blocks.flatMap { b =>
-      b.boxes
-        .groupBy(box => dims.map(d => box.ivs(d).lo).toVector)
-        .toVector
-        .sortBy(_._1.mkString(","))
-        .map { case (_, boxes) => Block(boxes) }
-    }
 }

@@ -44,10 +44,11 @@ object SummaryGenerator {
     ViewTable(lp.relation, allAttrs, rows)
   }
 
-  /** One align-and-merge step (Algorithm 3 + §5.1.2–5.1.3): sort both sides
-    * on the shared-attribute cells, split rows so counts pair up, then join
-    * positionally. An exact LP solution makes the per-cell totals match by
-    * the consistency constraints; a cell whose totals differ fails.
+  /** One align-and-merge step (Algorithm 3 + §5.1.2–5.1.3): group both
+    * sides by the sub-view's key class (the truth vector of `s.key` at a
+    * row's lo-corner), then pair counts positionally within each class. An
+    * exact LP solution makes the per-class totals match by the consistency
+    * constraints; a class whose totals differ fails.
     */
   private def mergeNext(
       relation: String,
@@ -59,27 +60,22 @@ object SummaryGenerator {
     val sRows = s.rows.map { case (b, c) => IRow(b.ivs, c) }
     if (curAttrs.isEmpty) return (sAttrs, sRows)
 
-    val shared = curAttrs.filter(sAttrs.contains)
-    val newAttrs = sAttrs.filterNot(shared.contains)
-    val outAttrs = curAttrs ++ newAttrs
-    val curSharedIdx = shared.map(curAttrs.indexOf)
-    val sSharedIdx = shared.map(sAttrs.indexOf)
-    val sNewIdx = newAttrs.map(sAttrs.indexOf)
-
-    def sigOf(r: IRow, idx: Vector[Int]): Vector[Double] = idx.map(i => r.ivs(i).lo)
-    val ga = curRows.groupBy(sigOf(_, curSharedIdx))
-    val gb = sRows.groupBy(sigOf(_, sSharedIdx))
+    val sNewIdx = sAttrs.indices.filterNot(i => curAttrs.contains(sAttrs(i))).toVector
+    def keyed(attrs: Vector[String], rows: Vector[IRow]) =
+      rows.map(r => s.key.map(_.eval(attrs.zip(r.ivs.map(_.lo)).toMap)) -> r)
+    val (ka, kb) = (keyed(curAttrs, curRows), keyed(sAttrs, sRows))
+    val (ga, gb) = (ka.groupMap(_._1)(_._2), kb.groupMap(_._1)(_._2))
     val out = Vector.newBuilder[IRow]
 
-    for (sig <- (ga.keySet ++ gb.keySet).toVector.sortBy(_.mkString(","))) {
-      val as = ga.getOrElse(sig, Vector.empty)
-      val bs = gb.getOrElse(sig, Vector.empty)
+    for (k <- (ka ++ kb).map(_._1).distinct) {
+      val as = ga.getOrElse(k, Vector.empty)
+      val bs = gb.getOrElse(k, Vector.empty)
       val (totalA, totalB) = (as.map(_.count).sum, bs.map(_.count).sum)
       if (totalA != totalB) {
-        val cell = shared.zip(sig).map { case (a, lo) => s"$a from $lo" }.mkString(", ")
+        val cls = s.key.zip(k).map { case (c, t) => if (t) c.toSql else s"NOT ${c.toSql}" }
         throw new IllegalStateException(
-          s"align & merge of view $relation: shared cell ($cell) has $totalA tuples in " +
-          s"(${curAttrs.mkString(", ")}) but $totalB in sub-view (${sAttrs.mkString(", ")})")
+          s"align & merge of view $relation: key class ${cls.mkString("[", ", ", "]")} has $totalA tuples " +
+          s"in (${curAttrs.mkString(", ")}) but $totalB in sub-view (${sAttrs.mkString(", ")})")
       }
       var i = 0; var j = 0
       var remA = if (as.nonEmpty) as(0).count else 0L
@@ -93,7 +89,7 @@ object SummaryGenerator {
         if (remB == 0) { j += 1; if (j < bs.size) remB = bs(j).count }
       }
     }
-    (outAttrs, out.result())
+    (curAttrs ++ sNewIdx.map(sAttrs), out.result())
   }
 
   final case class Result(

@@ -127,4 +127,28 @@ class LPFormulatorSpec extends AnyFunSuite {
       assert(sigs.distinct.size == 1, s"block mixes CC labels in sub-view ${s.attrs}")
     }
   }
+
+  test("overlapping separators: CCs on {a,b,c}, {b,c,d}, {a,b,e} are met exactly (seeded property)") {
+    val attrs = Vector("a", "b", "c", "d", "e")
+    val view = SchemaDef(Seq(Relation("W", "w_pk", attrs.map(Attr(_, 0, 20)), Nil)))
+    val cliques = Seq(Seq("a", "b", "c"), Seq("b", "c", "d"), Seq("a", "b", "e"))
+    // RIP order b,c,d → a,b,c → a,b,e: the sub-view {a,b,c} holds its own
+    // separator {b,c} and the separator {a,b} of {a,b,e}; they share b.
+    val order = ViewGraph.subViews(cliques.map(on => cc(1, on.map(a => (a, 0.0, 10.0)): _*)))
+    assert(order.map(_.attrSet) == Vector(Set("b", "c", "d"), Set("a", "b", "c"), Set("a", "b", "e")))
+    for (seed <- 1 to 300) {
+      val rnd = new scala.util.Random(seed)
+      def conj(on: Seq[String]): Conjunct = Conjunct.of(on.map { a =>
+        val lo = rnd.nextInt(19)
+        AttrRange(a, Interval(lo, math.min(20, lo + 1 + rnd.nextInt(12))))
+      }).get
+      val points = Vector.fill(60)(attrs.map(_ -> rnd.nextInt(20).toDouble).toMap)
+      val preds = for (on <- cliques; _ <- 1 to 2) yield Dnf(Seq.fill(1 + rnd.nextInt(2))(conj(on)).distinct)
+      val ccs = CC("W", Dnf.True, points.size.toLong) +: preds.map(d => CC("W", d, points.count(d.eval).toLong))
+      val table = SummaryGenerator.viewSolution(view, LPFormulator.solve(view, "W", ccs, points.size.toLong))
+      ccs.foreach { c =>
+        assert(table.countWhere(c.pred) == c.card, s"seed $seed: CC ${c.pred.toSql} wants ${c.card}")
+      }
+    }
+  }
 }

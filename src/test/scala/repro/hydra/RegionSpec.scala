@@ -92,23 +92,6 @@ class RegionSpec extends AnyFunSuite with PropSupport {
     assert(RegionPartition.optimalPartition(domain, attrs, Nil).size == 1)
   }
 
-  test("refineDim splits boxes at interior points only") {
-    val b = Block(Vector(Box(Vector(Interval(0, 10)))))
-    val refined = RegionPartition.refineDim(Vector(b), 0, Seq(-5.0, 0.0, 3.0, 7.0, 10.0, 99.0))
-    assert(refined.head.boxes.map(_.ivs(0)) ==
-      Vector(Interval(0, 3), Interval(3, 7), Interval(7, 10)))
-  }
-
-  test("splitBySignature groups boxes by shared-dim lo corner") {
-    val blk = Block(Vector(
-      Box(Vector(Interval(0, 5), Interval(0, 1))),
-      Box(Vector(Interval(0, 5), Interval(1, 2))),
-      Box(Vector(Interval(5, 9), Interval(0, 1)))))
-    val out = RegionPartition.splitBySignature(Vector(blk), Seq(0))
-    assert(out.size == 2)
-    assert(out.map(_.boxes.size).sorted == Vector(1, 2))
-  }
-
   test("region count is never larger than the grid-cell count (property)") {
     val genIv = for {
       a <- Gen.chooseNum(0, 90); w <- Gen.chooseNum(5, 40)

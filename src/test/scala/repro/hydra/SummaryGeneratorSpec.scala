@@ -15,14 +15,17 @@ class SummaryGeneratorSpec extends AnyFunSuite {
 
   private def stats(rel: String) = ViewLpStats(rel, 0, 0, 0, 0, exact = true)
   private def box(ivs: (Double, Double)*): Box = Box(ivs.toVector.map(i => Interval(i._1, i._2)))
+  /** Key classes on A of the Figure 8 example: [20, 40) and [40, 60). */
+  private val aKey = Vector(Conjunct.range("A", 20, 40), Conjunct.range("A", 40, 60))
+  private val noKey = Vector.empty[Conjunct]
 
   test("align & merge reproduces the paper's Figure 8 example") {
     // Sub-views (A,B) and (A,C) with matching marginals on A.
-    val ab = SubViewSolution(SubView(Vector("A", "B")), Vector(
+    val ab = SubViewSolution(SubView(Vector("A", "B")), noKey, Vector(
       (box((20, 40), (5, 8)), 20000L),
       (box((40, 60), (5, 8)), 10000L),
       (box((40, 60), (8, 10)), 20000L)))
-    val ac = SubViewSolution(SubView(Vector("A", "C")), Vector(
+    val ac = SubViewSolution(SubView(Vector("A", "C")), aKey, Vector(
       (box((20, 40), (2, 3)), 20000L),
       (box((40, 60), (2, 3)), 25000L),
       (box((40, 60), (3, 5)), 5000L)))
@@ -40,20 +43,21 @@ class SummaryGeneratorSpec extends AnyFunSuite {
 
   test("sub-views whose totals differ on a shared cell fail, naming view and cell") {
     // Both sides hold 50 000 tuples, but A=[20,40) has 20 000 vs 25 000.
-    val ab = SubViewSolution(SubView(Vector("A", "B")), Vector(
+    val ab = SubViewSolution(SubView(Vector("A", "B")), noKey, Vector(
       (box((20, 40), (5, 8)), 20000L),
       (box((40, 60), (5, 8)), 30000L)))
-    val ac = SubViewSolution(SubView(Vector("A", "C")), Vector(
+    val ac = SubViewSolution(SubView(Vector("A", "C")), aKey, Vector(
       (box((20, 40), (2, 3)), 25000L),
       (box((40, 60), (2, 3)), 25000L)))
     val e = intercept[IllegalStateException](SummaryGenerator.viewSolution(schema,
       ViewLpResult("V", 50000, Vector(ab, ac), stats("V"))))
-    assert(e.getMessage.contains("view V: shared cell (A from 20.0) has 20000 tuples"), e.getMessage)
+    assert(e.getMessage.contains("view V: key class [((A >= 20.0 AND A < 40.0)), NOT ((A >= 40.0 AND A < 60.0))] " +
+      "has 20000 tuples"), e.getMessage)
     assert(e.getMessage.contains("but 25000 in sub-view (A, C)"), e.getMessage)
   }
 
   test("instantiation assigns interval left boundaries (§5.2)") {
-    val sol = SubViewSolution(SubView(Vector("A", "B")), Vector(
+    val sol = SubViewSolution(SubView(Vector("A", "B")), noKey, Vector(
       (box((20, 30), (5, 8)), 10000L)))
     val vt = SummaryGenerator.viewSolution(schema,
       ViewLpResult("V", 10000, Vector(sol), stats("V")))
@@ -73,9 +77,9 @@ class SummaryGeneratorSpec extends AnyFunSuite {
   }
 
   test("disjoint sub-views merge positionally with matching totals") {
-    val s1 = SubViewSolution(SubView(Vector("A")), Vector(
+    val s1 = SubViewSolution(SubView(Vector("A")), noKey, Vector(
       (box((0, 10)), 30L), (box((10, 20)), 70L)))
-    val s2 = SubViewSolution(SubView(Vector("B")), Vector(
+    val s2 = SubViewSolution(SubView(Vector("B")), noKey, Vector(
       (box((0, 5)), 50L), (box((5, 10)), 50L)))
     val vt = SummaryGenerator.viewSolution(schema,
       ViewLpResult("V", 100, Vector(s1, s2), stats("V")))
@@ -90,12 +94,12 @@ class SummaryGeneratorSpec extends AnyFunSuite {
   ))
 
   private def lpFor(rel: String, total: Long, rows: Vector[(Box, Long)], attrs: Vector[String]) =
-    ViewLpResult(rel, total, Vector(SubViewSolution(SubView(attrs), rows)), stats(rel))
+    ViewLpResult(rel, total, Vector(SubViewSolution(SubView(attrs), noKey, rows)), stats(rel))
 
   test("referential repair adds missing combos with NumTuples=1") {
     // F places tuples at x=3 and x=7; D only has x=3.
     val f = ViewLpResult("F", 100,
-      Vector(SubViewSolution(SubView(Vector("x")), Vector(
+      Vector(SubViewSolution(SubView(Vector("x")), noKey, Vector(
         (box((3, 4)), 60L), (box((7, 8)), 40L)))), stats("F"))
     val d = lpFor("D", 50, Vector((box((3, 4)), 50L)), Vector("x"))
     val res = SummaryGenerator.generate(fkSchema, Seq(d, f))
@@ -106,7 +110,7 @@ class SummaryGeneratorSpec extends AnyFunSuite {
 
   test("FK values use cumulative PK offsets into the target (§5.4)") {
     val f = ViewLpResult("F", 100,
-      Vector(SubViewSolution(SubView(Vector("x")), Vector(
+      Vector(SubViewSolution(SubView(Vector("x")), noKey, Vector(
         (box((0, 1)), 30L), (box((5, 6)), 70L)))), stats("F"))
     val d = lpFor("D", 50, Vector((box((0, 1)), 20L), (box((5, 6)), 30L)), Vector("x"))
     val res = SummaryGenerator.generate(fkSchema, Seq(d, f))
@@ -131,11 +135,11 @@ class SummaryGeneratorSpec extends AnyFunSuite {
     ))
     // A1's view (z,y,w) has combo (1, 2, 9); B2's view (y,w) lacks it; C3 lacks w=9.
     val a = ViewLpResult("A1", 10, Vector(SubViewSolution(
-      SubView(Vector("w", "y", "z")), Vector((box((9, 10), (2, 3), (1, 2)), 10L)))), stats("A1"))
+      SubView(Vector("w", "y", "z")), noKey, Vector((box((9, 10), (2, 3), (1, 2)), 10L)))), stats("A1"))
     val b = ViewLpResult("B2", 5, Vector(SubViewSolution(
-      SubView(Vector("w", "y")), Vector((box((0, 1), (2, 3)), 5L)))), stats("B2"))
+      SubView(Vector("w", "y")), noKey, Vector((box((0, 1), (2, 3)), 5L)))), stats("B2"))
     val c = ViewLpResult("C3", 5, Vector(SubViewSolution(
-      SubView(Vector("w")), Vector((box((0, 1)), 5L)))), stats("C3"))
+      SubView(Vector("w")), noKey, Vector((box((0, 1)), 5L)))), stats("C3"))
     val res = SummaryGenerator.generate(chain, Seq(c, b, a))
     assert(res.extraTuples("B2") == 1, s"got ${res.extraTuples}")
     assert(res.extraTuples("C3") == 1)
@@ -149,7 +153,7 @@ class SummaryGeneratorSpec extends AnyFunSuite {
 
   test("generate is deterministic") {
     val f = ViewLpResult("F", 100,
-      Vector(SubViewSolution(SubView(Vector("x")), Vector(
+      Vector(SubViewSolution(SubView(Vector("x")), noKey, Vector(
         (box((3, 4)), 60L), (box((7, 8)), 40L)))), stats("F"))
     val d = lpFor("D", 50, Vector((box((3, 4)), 50L)), Vector("x"))
     val r1 = SummaryGenerator.generate(fkSchema, Seq(d, f))

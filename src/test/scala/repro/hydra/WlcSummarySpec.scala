@@ -1,12 +1,11 @@
 package repro.hydra
 
-import repro.{SparkSpec, TestWorkloads}
+import repro.{CcSlack, SparkSpec, TestWorkloads}
 import repro.lp.Rational
 
-/** The full WLc summary at the test scale. Its `inventory` view is the
-  * largest LP the pipeline builds (≈1.7 k rows over ≈5 k columns) and needs
-  * branch-and-bound, so the whole exact solver runs here, not only in the
-  * benches.
+/** The full WLc summary at the test scale: the workload with the most CCs,
+  * whose `date_dim` and `inventory` views need branch-and-bound, so the
+  * whole exact solver runs here, not only in the benches.
   */
 class WlcSummarySpec extends SparkSpec {
   private lazy val wlc = TestWorkloads.wlc
@@ -25,18 +24,17 @@ class WlcSummarySpec extends SparkSpec {
         assert(lhs == e.rhs, s"view ${lp.relation}: ${e.coeffs.size}-term row has $lhs, want ${e.rhs}")
       }
     }
-    val inventory = solved.find(_._1.relation == "inventory").get._2.stats
-    assert(inventory.numVars > 1000 && inventory.bbNodes > 1,
-      s"inventory LP: ${inventory.numVars} vars, ${inventory.bbNodes} B&B nodes")
+    val branched = solved.collect { case (lp, res) if res.stats.bbNodes > 1 => lp.relation }
+    assert(branched.nonEmpty, "no WLc view needed branch-and-bound")
+  }
+
+  test("WLc: the LPs are small by construction (at most 1 200 columns in all)") {
+    val cols = solved.map(_._1.nVars)
+    assert(cols.sum <= 1200, s"WLc LP columns per view: ${solved.map(_._1.relation).zip(cols)}")
   }
 
   test("WLc: the summary built from those solutions meets every CC within RI slack") {
     val gen = SummaryGenerator.generate(wlc.schema, solved.map(_._2))
-    wlc.ccs.foreach { cc =>
-      val got = gen.viewTables(cc.relation).countWhere(cc.pred)
-      val slack = gen.extraTuples.getOrElse(cc.relation, 0L)
-      assert(got >= cc.card && got <= cc.card + slack,
-        s"CC on ${cc.relation} (${cc.pred.toSql}): want ${cc.card}, got $got, slack $slack")
-    }
+    wlc.ccs.foreach(cc => CcSlack.assertMet(cc, gen.viewTables(cc.relation).countWhere(cc.pred), gen.extraTuples))
   }
 }
