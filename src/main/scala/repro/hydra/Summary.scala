@@ -49,6 +49,22 @@ final case class RelationSummary(
         throw new ArithmeticException(s"relation $relation: more than ${Long.MaxValue} tuples (${e.getMessage})")
     }
   }
+
+  /** The summary rows that hold PKs `(start, end]`, in PK order, each as
+    * `(i, s, e)`: row `i` holds PKs `(s, e]` of the window. Rows of count 0
+    * hold no PK and are skipped.
+    */
+  def runs(start: Long, end: Long): Iterator[(Int, Long, Long)] = {
+    // The first row that can hold PK start + 1: the greatest i with starts(i) ≤ start.
+    var lo = 0; var hi = rows.size - 1
+    while (lo < hi) {
+      val mid = (lo + hi + 1) >>> 1
+      if (starts(mid) <= start) lo = mid else hi = mid - 1
+    }
+    Iterator.range(lo, rows.size).takeWhile(starts(_) < end)
+      .map(i => (i, math.max(start, starts(i)), math.min(end, starts(i + 1))))
+      .filter { case (_, s, e) => e > s }
+  }
 }
 
 final case class DbSummary(relations: Vector[RelationSummary]) {
@@ -75,30 +91,54 @@ object DbSummary {
   def load(path: String): DbSummary = parse(
     Files.readAllLines(Paths.get(path), StandardCharsets.UTF_8).asScala.toVector)
 
+  /** Parses [[save]]'s format. A line that breaks it fails, naming its
+    * 1-based number and its relation: a line before the first `relation`
+    * line, a row without three `;`-separated fields, a negative count, a row
+    * whose attribute or FK arity differs from its relation's `attrs` and
+    * `fks` lines, an `attrs` or `fks` line after rows, a repeated relation,
+    * or a value that is not a number.
+    */
   def parse(lines: Vector[String]): DbSummary = {
     val rels = Vector.newBuilder[RelationSummary]
+    val seen = scala.collection.mutable.Set.empty[String]
     var name = ""; var pk = ""
     var attrs = Vector.empty[String]; var fks = Vector.empty[String]
     var rows = Vector.newBuilder[(Vector[Double], Vector[Long], Long)]
+    var hasRows = false
     def flush(): Unit =
       if (name.nonEmpty) rels += RelationSummary(name, pk, attrs, fks, rows.result())
     def splitCsv(s: String): Vector[String] =
       if (s.isEmpty) Vector.empty else s.split(",", -1).toVector
-    lines.filter(_.nonEmpty).foreach { line =>
+    for ((line, n) <- lines.zipWithIndex if line.nonEmpty) {
+      def fail(msg: String): Nothing = throw new IllegalArgumentException(
+        s"summary line ${n + 1} (${if (name.isEmpty) "before any relation" else s"relation $name"}): $msg")
       val (tag, rest) = line.span(_ != ' ')
       val body = rest.drop(1)
-      tag match {
+      if (tag != "relation" && name.isEmpty) fail(s"'$tag' line before the first 'relation' line")
+      try tag match {
         case "relation" =>
           flush()
-          val parts = body.split(" "); name = parts(0); pk = parts(1)
-          rows = Vector.newBuilder
+          body.split(" ") match {
+            case Array(r, p) => name = r; pk = p
+            case _ => fail(s"'relation' needs a name and a PK column, got '$body'")
+          }
+          if (!seen.add(name)) fail("relation appears twice")
+          attrs = Vector.empty; fks = Vector.empty; rows = Vector.newBuilder; hasRows = false
+        case "attrs" | "fks" if hasRows => fail(s"'$tag' line after rows")
         case "attrs" => attrs = splitCsv(body)
         case "fks"   => fks = splitCsv(body)
         case "row" =>
-          val Array(a, f, c) = body.split(";", -1)
-          rows += ((splitCsv(a).map(_.toDouble), splitCsv(f).map(_.toLong), c.toLong))
-        case other => throw new IllegalArgumentException(s"bad summary line tag: $other")
-      }
+          body.split(";", -1) match {
+            case Array(a, f, c) =>
+              val (av, fv, count) = (splitCsv(a).map(_.toDouble), splitCsv(f).map(_.toLong), c.toLong)
+              if (av.size != attrs.size) fail(s"row has ${av.size} attribute values, relation has ${attrs.size} attrs")
+              if (fv.size != fks.size) fail(s"row has ${fv.size} FK values, relation has ${fks.size} fks")
+              if (count < 0) fail(s"negative count $count")
+              rows += ((av, fv, count)); hasRows = true
+            case parts => fail(s"row needs 3 ';'-separated fields, got ${parts.length}")
+          }
+        case other => fail(s"bad summary line tag: $other")
+      } catch { case e: NumberFormatException => fail(s"not a number (${e.getMessage})") }
     }
     flush()
     DbSummary(rels.result())

@@ -2,6 +2,7 @@ package repro.hydra
 
 import java.util
 import java.util.OptionalLong
+import org.apache.hadoop.fs.Path
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
@@ -12,6 +13,7 @@ import org.apache.spark.sql.execution.vectorized.{ConstantColumnVector, OnHeapCo
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 import org.apache.spark.sql.vectorized.{ColumnVector, ColumnarBatch}
+import org.apache.spark.util.SerializableConfiguration
 import repro.core.SparkJobs
 import scala.jdk.CollectionConverters._
 
@@ -86,10 +88,8 @@ private[hydra] class SummaryScan(tableSchema: StructType, options: Map[String, S
   require(startPk >= 0 && endPk <= rel.total,
     s"relation ${rel.relation}: PK window ($startPk, $endPk] is outside its PKs 1..${rel.total}")
   private val span = math.max(0L, endPk - startPk)
-  // Without the option, one split per 65 536 rows, at most 16, so that a
-  // small relation is one task.
   private val numPartitions = opts.get("numpartitions").map(_.toInt)
-    .getOrElse(math.min(16L, SummaryScan.ceilDiv(span, 65536)).toInt)
+    .getOrElse(SummaryScan.defaultSplits(span))
 
   override def readSchema(): StructType = tableSchema
   override def toBatch: Batch = this
@@ -105,20 +105,9 @@ private[hydra] class SummaryScan(tableSchema: StructType, options: Map[String, S
       catch { case _: ArithmeticException => Long.MaxValue })
   }
 
-  override def planInputPartitions(): Array[InputPartition] = {
-    val parts = math.max(1, math.min(numPartitions.toLong, math.max(1L, span)).toInt)
-    val chunk = SummaryScan.ceilDiv(span, parts)
-    // Offsets stay within the window, so no bound wraps near Long.MaxValue:
-    // i * chunk ≤ span whenever span ≥ parts², and otherwise
-    // i * chunk < span + parts < 2^62 + 2^31.
-    (0 until parts).iterator
-      .map { i =>
-        val off = math.min(span, i * chunk)
-        SummaryInputPartition(rel, startPk + off, startPk + off + math.min(chunk, span - off))
-      }
-      .filter(p => p.end > p.start)
-      .toArray[InputPartition]
-  }
+  override def planInputPartitions(): Array[InputPartition] =
+    SummaryScan.splits(startPk, endPk, numPartitions)
+      .map { case (s, e) => SummaryInputPartition(rel, s, e) }.toArray
 
   override def createReaderFactory(): PartitionReaderFactory = new SummaryReaderFactory
 }
@@ -126,6 +115,27 @@ private[hydra] class SummaryScan(tableSchema: StructType, options: Map[String, S
 private[hydra] object SummaryScan {
   /** ⌈a / b⌉ for a ≥ 0, b > 0, without the overflow of `(a + b - 1) / b`. */
   def ceilDiv(a: Long, b: Long): Long = a / b + (if (a % b == 0) 0 else 1)
+
+  /** Splits of a window of `span` PKs without the `numPartitions` option:
+    * one per 65 536 PKs, at most 16, so that a small relation is one task.
+    */
+  def defaultSplits(span: Long): Int = math.min(16L, ceilDiv(span, 65536)).toInt
+
+  /** PKs `(start, end]` cut into at most `parts` non-empty windows of
+    * ⌈span / parts⌉ PKs, in PK order; none if the window is empty.
+    */
+  def splits(start: Long, end: Long, parts: Int): Vector[(Long, Long)] = {
+    val span = math.max(0L, end - start)
+    val n = math.max(1, math.min(parts.toLong, math.max(1L, span)).toInt)
+    val chunk = ceilDiv(span, n)
+    // Offsets stay within the window, so no bound wraps near Long.MaxValue:
+    // i * chunk ≤ span whenever span ≥ n², and otherwise
+    // i * chunk < span + n < 2^62 + 2^31.
+    Vector.tabulate(n) { i =>
+      val off = math.min(span, i * chunk)
+      (start + off, start + off + math.min(chunk, span - off))
+    }.filter { case (s, e) => e > s }
+  }
 }
 
 /** PK range `(start, end]` of one generated split; carries the (tiny)
@@ -157,37 +167,28 @@ private[hydra] class SummaryBatchReader(rel: RelationSummary, start: Long, end: 
     extends PartitionReader[ColumnarBatch] {
   import SummaryBatchReader.BatchRows
 
-  private val starts = rel.starts // starts(i) tuples precede row i
   private val pks = new OnHeapColumnVector(BatchRows, LongType)
   private val attrs = rel.attrCols.map(_ => new ConstantColumnVector(BatchRows, DoubleType))
   private val fks = rel.fkCols.map(_ => new ConstantColumnVector(BatchRows, LongType))
   private val batch = new ColumnarBatch((pks +: (attrs ++ fks)).toArray[ColumnVector])
+  private val runs = rel.runs(start, end)
   private var pk = start // last PK generated
-  private var rowIdx = {
-    // First block covering pk = start + 1: greatest i with starts(i) < start+1.
-    var lo = 0; var hi = rel.rows.size - 1
-    while (lo < hi) {
-      val mid = (lo + hi + 1) >>> 1
-      if (starts(mid) < start + 1) lo = mid else hi = mid - 1
-    }
-    lo
-  }
-  private var constantsOf = -1 // the summary row the constant vectors hold
+  private var runEnd = start // the current summary row's run ends at this PK
   private var batches = 0L
 
-  override def next(): Boolean =
-    if (pk >= end) false
+  override def next(): Boolean = {
+    if (pk == runEnd && runs.hasNext) {
+      val (i, s, e) = runs.next()
+      val (a, f, _) = rel.rows(i)
+      var k = 0
+      while (k < a.size) { attrs(k).setDouble(a(k)); k += 1 }
+      k = 0
+      while (k < f.size) { fks(k).setLong(f(k)); k += 1 }
+      pk = s; runEnd = e
+    }
+    if (pk == runEnd) false
     else {
-      while (pk + 1 > starts(rowIdx + 1)) rowIdx += 1
-      if (constantsOf != rowIdx) {
-        val (a, f, _) = rel.rows(rowIdx)
-        var i = 0
-        while (i < a.size) { attrs(i).setDouble(a(i)); i += 1 }
-        var j = 0
-        while (j < f.size) { fks(j).setLong(f(j)); j += 1 }
-        constantsOf = rowIdx
-      }
-      val n = math.min(BatchRows.toLong, math.min(end, starts(rowIdx + 1)) - pk).toInt
+      val n = math.min(BatchRows.toLong, runEnd - pk).toInt
       var k = 0
       while (k < n) { pks.putLong(k, pk + 1 + k); k += 1 }
       batch.setNumRows(n)
@@ -195,6 +196,7 @@ private[hydra] class SummaryBatchReader(rel: RelationSummary, start: Long, end: 
       batches += 1
       true
     }
+  }
 
   override def get(): ColumnarBatch = batch
 
@@ -249,13 +251,33 @@ object TupleGenerator {
     r.load(summaryPath)
   }
 
-  /** Materialize every relation of a summary as parquet ("static" mode);
-    * the relations are written concurrently ([[SparkJobs.perRelation]]).
+  /** Materialize every relation of a summary as Parquet ("static" mode),
+    * without generating a tuple ([[SummaryParquet]]). Each relation is one
+    * Spark job, and the relations run concurrently ([[SparkJobs.perRelation]]).
+    * `$outDir/$rel` is deleted first, then holds one `part-NNNNN.parquet`
+    * per split of its PKs (at most `defaultParallelism` splits, cut as the
+    * scan cuts them; one schema-only file for an empty relation) and a
+    * `_SUCCESS` marker once all of them are written. Tasks write through
+    * the driver's Hadoop configuration, so any Hadoop file system works.
     */
   def materialize(spark: SparkSession, summaryPath: String, outDir: String): Unit = {
     val db = DbSummary.load(summaryPath)
-    SparkJobs.perRelation(spark.sparkContext, db.relations.map(_.relation)) { rel =>
-      dataFrame(spark, summaryPath, rel).write.mode("overwrite").parquet(s"$outDir/$rel")
+    val sc = spark.sparkContext
+    val conf = new SerializableConfiguration(sc.hadoopConfiguration)
+    SparkJobs.perRelation(sc, db.relations.map(_.relation)) { name =>
+      val rel = db.byName(name)
+      val dir = new Path(outDir, name)
+      val fs = dir.getFileSystem(conf.value)
+      fs.delete(dir, true)
+      fs.mkdirs(dir)
+      val parts = math.min(sc.defaultParallelism, SummaryScan.defaultSplits(rel.total))
+      val windows = SummaryScan.splits(0, rel.total, parts)
+      val splits = if (windows.isEmpty) Vector((0L, 0L)) else windows
+      val target = dir.toString
+      sc.parallelize(splits.zipWithIndex, splits.size).foreach { case ((start, end), i) =>
+        SummaryParquet.writeSplit(rel, start, end, new Path(target, f"part-$i%05d.parquet"), conf.value)
+      }
+      fs.create(new Path(dir, "_SUCCESS"), true).close()
     }
     ()
   }

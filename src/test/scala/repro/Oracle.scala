@@ -32,6 +32,17 @@ object Oracle {
       .sortBy(_.mkString(""))
   }
 
+  /** `sql`'s rows on a fresh in-memory DuckDB, e.g. over `read_parquet(…)`. */
+  def query(sql: String): Vector[Vector[AnyRef]] = {
+    Class.forName("org.duckdb.DuckDBDriver")
+    val conn = DriverManager.getConnection("jdbc:duckdb:")
+    try {
+      val rs = conn.createStatement.executeQuery(sql)
+      val n = rs.getMetaData.getColumnCount
+      Iterator.continually(rs).takeWhile(_.next()).map(r => Vector.tabulate(n)(i => r.getObject(i + 1))).toVector
+    } finally conn.close()
+  }
+
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")

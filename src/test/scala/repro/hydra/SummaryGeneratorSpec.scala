@@ -185,6 +185,33 @@ class DbSummarySpec extends AnyFunSuite {
     }
   }
 
+  test("parse fails on a corrupted summary, naming the 1-based line and the relation") {
+    val head = Vector("relation r r_pk", "attrs a,b", "fks f", "")
+    def failure(lines: String*): String =
+      intercept[IllegalArgumentException](DbSummary.parse(lines.toVector)).getMessage
+    val cases = Seq(
+      Seq("row 1,2;3;4") ++ head -> Seq("line 1", "before any relation"),
+      Seq("attrs a") -> Seq("line 1", "before any relation"),
+      head ++ Seq("row 1,2;3;4", "row 1,2;3") -> Seq("line 6", "relation r", "3 ';'-separated fields"),
+      head ++ Seq("row 1,2") -> Seq("line 5", "relation r", "3 ';'-separated fields"),
+      head ++ Seq("row 1,2;3;-1") -> Seq("line 5", "relation r", "negative count -1"),
+      head ++ Seq("row 1;3;4") -> Seq("line 5", "relation r", "1 attribute values", "2 attrs"),
+      head ++ Seq("row 1,2;;4") -> Seq("line 5", "relation r", "0 FK values", "1 fks"),
+      head ++ Seq("row 1,2;3,4;4") -> Seq("line 5", "relation r", "2 FK values"),
+      head ++ Seq("row 1,x;3;4") -> Seq("line 5", "relation r", "not a number"),
+      head ++ Seq("row 1,2;3;4", "attrs a") -> Seq("line 6", "relation r", "after rows"),
+      head ++ Seq("relation s s_pk", "row 1,2;3;4") -> Seq("line 6", "relation s", "2 attribute values, relation has 0"),
+      head ++ Seq("relation r r_pk") -> Seq("line 5", "relation r", "twice"),
+      Seq("relation r") -> Seq("line 1"))
+    for ((lines, wants) <- cases) {
+      val msg = failure(lines: _*)
+      wants.foreach(w => assert(msg.contains(w), s"${lines.mkString(" | ")}: $msg"))
+    }
+    // A new relation starts without the previous one's columns.
+    assert(DbSummary.parse(head ++ Vector("row 1,2;3;4", "relation s s_pk", "row ;;2")).byName("s") ==
+      RelationSummary("s", "s_pk", Vector.empty, Vector.empty, Vector((Vector.empty, Vector.empty, 2L))))
+  }
+
   test("countWhere on ViewTable") {
     val vt = ViewTable("v", Vector("a"), Vector((Vector(1.0), 5L), (Vector(3.0), 7L)))
     assert(vt.countWhere(Dnf.of(Conjunct.range("a", 0, 2))) == 5)
