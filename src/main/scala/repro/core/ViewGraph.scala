@@ -60,7 +60,7 @@ object ViewGraph {
       elimOrder += v
     }
 
-    // Maximal cliques of a chordal graph: {v} ∪ later-eliminated neighbors.
+    // Maximal cliques of a chordal graph: {v} ∪ its neighbors later in the elimination order.
     val candidate = elimOrder.map { v =>
       (filled(v).filter(u => elimPos(u) > elimPos(v)).toSet + v)
     }.toVector

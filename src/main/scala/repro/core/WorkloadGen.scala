@@ -29,12 +29,14 @@ final case class WorkloadSpec(
     poolSize: Int,              // filter templates per relation
     defaultAttrsPerConjunct: Int,
     wideAttrs: Map[String, Int], // relation → attrs/conjunct in SOLO queries on it
-    soloQueries: Int = 8,       // single-relation queries per wideAttrs relation
     joinWideAttrs: Map[String, Int] = Map.empty, // width override when joined as a dim
     seed: Long,
 )
 
 object WorkloadGen {
+
+  /** Single-relation queries per `wideAttrs` relation. */
+  val SoloQueries = 8
 
   def generate(schema: SchemaDef, facts: Seq[String], spec: WorkloadSpec): Seq[Query] = {
     val rnd = new Random(spec.seed)
@@ -86,7 +88,7 @@ object WorkloadGen {
     }.toMap
     val soloQueries: Seq[Query] = spec.wideAttrs.toSeq.sortBy(_._1).flatMap {
       case (rel, width) =>
-        Vector.fill(spec.soloQueries)(template(schema.byName(rel), width))
+        Vector.fill(SoloQueries)(template(schema.byName(rel), width))
           .filter(_.conjuncts.nonEmpty)
           .map(f => Query(rel, Nil, Map(rel -> f)))
     }

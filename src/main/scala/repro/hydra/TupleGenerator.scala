@@ -32,12 +32,13 @@ import scala.jdk.CollectionConverters._
   * ([[SummaryBatchReader]]). It reports the SQL metrics `generatedRows` and
   * `generatedBatches`.
   *
-  * Options: `path` (summary file), `relation`, `numPartitions` (default
-  * `min(16, ceil(rows / 65536))` splits of the PK window), `startPk`/`endPk`
-  * (generate only PKs in `(startPk, endPk]` — used for slicing unboundedly
-  * large regenerated relations). The scan reports the window's exact row
-  * count to Catalyst, so joins over regenerated relations are planned with
-  * real sizes (e.g. dimensions are broadcast).
+  * Options: `path` (summary file), `relation`, `startPk`/`endPk` (generate
+  * only PKs in `(startPk, endPk]` — used for slicing unboundedly large
+  * regenerated relations). The scan cuts its PK window into
+  * `min(16, ceil(rows / 65536))` splits ([[SummaryScan.defaultSplits]]),
+  * and reports the window's exact row count to Catalyst, so joins over
+  * regenerated relations are planned with real sizes (e.g. dimensions are
+  * broadcast).
   */
 class SummarySource extends TableProvider {
   override def inferSchema(options: CaseInsensitiveStringMap): StructType =
@@ -88,8 +89,6 @@ private[hydra] class SummaryScan(tableSchema: StructType, options: Map[String, S
   require(startPk >= 0 && endPk <= rel.total,
     s"relation ${rel.relation}: PK window ($startPk, $endPk] is outside its PKs 1..${rel.total}")
   private val span = math.max(0L, endPk - startPk)
-  private val numPartitions = opts.get("numpartitions").map(_.toInt)
-    .getOrElse(SummaryScan.defaultSplits(span))
 
   override def readSchema(): StructType = tableSchema
   override def toBatch: Batch = this
@@ -106,7 +105,7 @@ private[hydra] class SummaryScan(tableSchema: StructType, options: Map[String, S
   }
 
   override def planInputPartitions(): Array[InputPartition] =
-    SummaryScan.splits(startPk, endPk, numPartitions)
+    SummaryScan.splits(startPk, endPk, SummaryScan.defaultSplits(span))
       .map { case (s, e) => SummaryInputPartition(rel, s, e) }.toArray
 
   override def createReaderFactory(): PartitionReaderFactory = new SummaryReaderFactory
@@ -116,8 +115,8 @@ private[hydra] object SummaryScan {
   /** ⌈a / b⌉ for a ≥ 0, b > 0, without the overflow of `(a + b - 1) / b`. */
   def ceilDiv(a: Long, b: Long): Long = a / b + (if (a % b == 0) 0 else 1)
 
-  /** Splits of a window of `span` PKs without the `numPartitions` option:
-    * one per 65 536 PKs, at most 16, so that a small relation is one task.
+  /** Splits of a window of `span` PKs: one per 65 536 PKs, at most 16, so
+    * that a small relation is one task.
     */
   def defaultSplits(span: Long): Int = math.min(16L, ceilDiv(span, 65536)).toInt
 
@@ -237,15 +236,14 @@ object GeneratedBatchesMetric { val Name = "generatedBatches" }
 object TupleGenerator {
 
   /** Dynamically regenerated relation as a DataFrame (DSv2 scan). A
-    * negative `numPartitions`, `startPk` or `endPk` leaves that option at
-    * its [[SummarySource]] default.
+    * negative `startPk` or `endPk` leaves that option at its
+    * [[SummarySource]] default.
     */
   def dataFrame(spark: SparkSession, summaryPath: String, relation: String,
-                numPartitions: Int = -1, startPk: Long = -1, endPk: Long = -1): DataFrame = {
+                startPk: Long = -1, endPk: Long = -1): DataFrame = {
     var r = spark.read
       .format(classOf[SummarySource].getName)
       .option("relation", relation)
-    if (numPartitions >= 0) r = r.option("numPartitions", numPartitions)
     if (startPk >= 0) r = r.option("startPk", startPk)
     if (endPk >= 0) r = r.option("endPk", endPk)
     r.load(summaryPath)

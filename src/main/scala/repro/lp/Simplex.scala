@@ -7,20 +7,17 @@ package repro.lp
   * equality cardinality constraints. All arithmetic is in exact rationals so
   * feasible systems are never misreported.
   *
-  * The tableau is sparse. Each constraint row keeps only its non-zeros, as
-  * sorted column indices with their values, plus its right-hand side; an
-  * entry that cancels to zero is dropped. The phase-1 objective row (the sum
-  * of the artificials, over columns `0 until n + m`) is summed from the row
-  * entries. A pivot divides the pivot row's non-zeros by the pivot element
-  * and updates only the rows, and the objective, that have a non-zero in
-  * the entering column, each with only the pivot row's non-zeros.
+  * The tableau is dense: `m` constraint rows and the phase-1 objective row
+  * (the sum of the artificials, expressed over the other columns), each over
+  * the `n` original columns, the `m` artificials and the RHS. The view LPs
+  * are small by construction (at most a few hundred columns after separator
+  * alignment), so a dense row scan is as fast as sparse bookkeeping.
   *
   * Pivot rule: Dantzig pricing (the largest positive objective entry, the
   * lowest column on a tie) until `4(m+n)+200` iterations, then Bland's rule
   * (the lowest column with a positive entry), which guarantees termination.
   * The ratio test takes the minimum ratio and breaks ties on the lowest
-  * basis index. Sparse storage changes no choice, so the vertex returned is
-  * the one the dense tableau reaches.
+  * basis index.
   *
   * [[Simplex.feasibleIntegral]] adds branch-and-bound on top: a fractional
   * variable `x_j = f` splits the search into `x_j ≤ ⌊f⌋` and `x_j ≥ ⌈f⌉`.
@@ -44,194 +41,134 @@ object Simplex {
     */
   final case class Integral(x: Option[Array[BigInt]], pivots: Long, nodes: Int)
 
-  /** Non-zeros of one row: strictly increasing columns and their values. */
-  private final class Row(val cols: Array[Int], val vals: Array[Rational]) {
-    def apply(c: Int): Rational = {
-      val k = java.util.Arrays.binarySearch(cols, c)
-      if (k >= 0) vals(k) else Rational.Zero
-    }
-  }
-
-  /** `eq` over variables `0 until nVars` as a sparse row and its RHS:
-    * duplicate indices summed, zeros dropped, negated if the RHS is negative.
-    */
-  private def rowOf(nVars: Int, eq: Eq): (Row, Rational) = {
-    val neg = eq.rhs.signum < 0
-    val sum = new java.util.TreeMap[Int, Rational]()
-    eq.coeffs.foreach { case (j, c) =>
-      require(j >= 0 && j < nVars, s"var index $j out of range")
-      sum.merge(j, if (neg) -c else c, _ + _)
-    }
-    sum.values.removeIf(_.isZero)
-    val cols = new Array[Int](sum.size)
-    val vals = new Array[Rational](sum.size)
-    var k = 0
-    sum.forEach { (j, c) => cols(k) = j; vals(k) = c; k += 1 }
-    (new Row(cols, vals), if (neg) -eq.rhs else eq.rhs)
-  }
-
   /** Solve `{ eqs, x ≥ 0 }`; returns a feasible point or None. */
   def feasible(nVars: Int, eqs: Seq[Eq]): Option[Array[Rational]] = vertex(nVars, eqs).x
 
-  /** [[feasible]] with the number of pivots it took. */
-  def vertex(nVars: Int, eqs: Seq[Eq]): Vertex = solve(nVars, eqs.map(rowOf(nVars, _)))
-
-  /** Phase 1 over `n` original columns and the given rows; row `i` gets the
-    * artificial column `n + i`, which starts basic.
+  /** [[feasible]] with the number of pivots it took. Row `i` gets the
+    * artificial column `nVars + i`, which starts basic; a row with a
+    * negative RHS is negated first, and repeated indices are summed.
     */
-  private def solve(n: Int, system: Seq[(Row, Rational)]): Vertex = {
-    val t = new Tableau(n, system)
-    val blandAfter = 4L * (t.m + n) + 200
-    var iter = 0L
-    var enter = t.entering(bland = false)
-    while (enter >= 0) {
-      val leave = t.leaving(enter)
-      if (leave < 0)
-        throw new IllegalStateException("phase-1 objective unbounded — malformed system")
-      t.pivot(leave, enter)
-      iter += 1
-      enter = t.entering(bland = iter >= blandAfter)
+  def vertex(nVars: Int, eqs: Seq[Eq]): Vertex = {
+    val m = eqs.size
+    val n = nVars
+    val width = n + m + 1 // original vars, artificials, rhs
+    val T = Array.fill(m + 1)(Array.fill(width)(Rational.Zero))
+    for ((eq, i) <- eqs.zipWithIndex) {
+      val neg = eq.rhs.signum < 0
+      eq.coeffs.foreach { case (j, c) =>
+        require(j >= 0 && j < n, s"var index $j out of range")
+        T(i)(j) = T(i)(j) + (if (neg) -c else c)
+      }
+      T(i)(n + i) = Rational.One
+      T(i)(width - 1) = if (neg) -eq.rhs else eq.rhs
     }
-    Vertex(t.solution, iter)
+    // Objective row: w = Σ artificials expressed over original columns.
+    for (j <- 0 until n) {
+      var s = Rational.Zero
+      var i = 0
+      while (i < m) { s = s + T(i)(j); i += 1 }
+      T(m)(j) = s
+    }
+    T(m)(width - 1) = (0 until m).foldLeft(Rational.Zero)((s, i) => s + T(i)(width - 1))
+
+    val basis = Array.tabulate(m)(i => n + i)
+    val blandAfter = 4L * (m + n) + 200
+    var iter = 0L
+    var done = false
+    while (!done) {
+      val obj = T(m)
+      // Entering column: Dantzig first, Bland once past the iteration guard.
+      var enter = -1
+      if (iter < blandAfter) {
+        var best = Rational.Zero
+        var j = 0
+        while (j < n + m) {
+          if (obj(j) > best) { best = obj(j); enter = j }
+          j += 1
+        }
+      } else {
+        var j = 0
+        while (enter < 0 && j < n + m) { if (obj(j).signum > 0) enter = j; j += 1 }
+      }
+      if (enter < 0) done = true
+      else {
+        // Ratio test (Bland tie-break on basis index for termination).
+        var leave = -1
+        var bestRatio: Rational = null
+        var i = 0
+        while (i < m) {
+          val a = T(i)(enter)
+          if (a.signum > 0) {
+            val ratio = T(i)(width - 1) / a
+            if (leave < 0 || ratio < bestRatio ||
+                (ratio == bestRatio && basis(i) < basis(leave))) {
+              leave = i; bestRatio = ratio
+            }
+          }
+          i += 1
+        }
+        if (leave < 0)
+          throw new IllegalStateException("phase-1 objective unbounded — malformed system")
+        pivot(T, basis, leave, enter, width)
+        iter += 1
+      }
+    }
+    if (!T(m)(width - 1).isZero) Vertex(None, iter)
+    else {
+      val x = Array.fill(n)(Rational.Zero)
+      for (i <- 0 until m if basis(i) < n) x(basis(i)) = T(i)(width - 1)
+      Vertex(Some(x), iter)
+    }
   }
 
-  /** The phase-1 tableau: sparse constraint rows with their RHS, the
-    * objective row (dense over columns `0 until n + m`, since it touches
-    * most of them), and two indexes that keep a pivot's work proportional
-    * to the non-zeros it changes: the rows holding each column, and the
-    * columns whose objective entry is positive.
+  /** Divide row `r` by its entry in column `c`, clear column `c` in every
+    * other row (the objective included), and make `c` basic in row `r`.
     */
-  private final class Tableau(n: Int, system: Seq[(Row, Rational)]) {
-    val m: Int = system.size
-    private val rows = system.iterator.zipWithIndex.map { case ((r, _), i) =>
-      new Row(r.cols :+ (n + i), r.vals :+ Rational.One)
-    }.toArray
-    private val rhs = system.iterator.map(_._2).toArray
-    private val rowsOf = Array.fill(n + m)(new java.util.BitSet)
-    for (i <- 0 until m; c <- rows(i).cols) rowsOf(c).set(i)
-    // Objective row: w = Σ artificials expressed over the original columns.
-    private val obj = Array.fill(n + m)(Rational.Zero)
-    for ((r, _) <- system; k <- r.cols.indices) obj(r.cols(k)) = obj(r.cols(k)) + r.vals(k)
-    private var objRhs = rhs.foldLeft(Rational.Zero)(_ + _)
-    private val positive = new java.util.BitSet(n + m)
-    for (j <- obj.indices if obj(j).signum > 0) positive.set(j)
-    private val basis = Array.tabulate(m)(i => n + i)
-
-    /** Entering column, or -1 at the optimum: Dantzig (the largest positive
-      * objective entry, the lowest column on a tie), or Bland (the lowest
-      * column with a positive entry).
-      */
-    def entering(bland: Boolean): Int =
-      if (bland) positive.nextSetBit(0)
-      else {
-        var enter = -1
-        var j = positive.nextSetBit(0)
-        while (j >= 0) {
-          if (enter < 0 || obj(j) > obj(enter)) enter = j
-          j = positive.nextSetBit(j + 1)
-        }
-        enter
-      }
-
-    /** Ratio test: the row with the minimum `rhs / a` over positive entries
-      * `a` of column `c`, ties to the lowest basis index; -1 if there is none.
-      */
-    def leaving(c: Int): Int = {
-      var leave = -1
-      var bestRatio: Rational = null
-      var i = rowsOf(c).nextSetBit(0)
-      while (i >= 0) {
-        val a = rows(i)(c)
-        if (a.signum > 0) {
-          val ratio = rhs(i) / a
-          if (leave < 0 || ratio < bestRatio ||
-              (ratio == bestRatio && basis(i) < basis(leave))) {
-            leave = i; bestRatio = ratio
+  private def pivot(T: Array[Array[Rational]], basis: Array[Int],
+                    r: Int, c: Int, width: Int): Unit = {
+    val p = T(r)(c)
+    val row = T(r)
+    var j = 0
+    while (j < width) { if (!row(j).isZero) row(j) = row(j) / p; j += 1 }
+    var i = 0
+    while (i < T.length) {
+      if (i != r) {
+        val f = T(i)(c)
+        if (!f.isZero) {
+          val ti = T(i)
+          var k = 0
+          while (k < width) {
+            if (!row(k).isZero) ti(k) = ti(k) - f * row(k)
+            k += 1
           }
         }
-        i = rowsOf(c).nextSetBit(i + 1)
       }
-      leave
+      i += 1
     }
-
-    def pivot(r: Int, c: Int): Unit = {
-      val p = rows(r)(c)
-      val pr = new Row(rows(r).cols, rows(r).vals.map(_ / p))
-      val pRhs = rhs(r) / p
-      rows(r) = pr
-      rhs(r) = pRhs
-      val others = rowsOf(c).stream.filter(_ != r).toArray
-      for (i <- others) {
-        val f = rows(i)(c)
-        rows(i) = eliminate(i, f, pr)
-        rhs(i) = rhs(i) - f * pRhs
-      }
-      val f = obj(c)
-      for (k <- pr.cols.indices) {
-        val j = pr.cols(k)
-        obj(j) = obj(j) - f * pr.vals(k)
-        positive.set(j, obj(j).signum > 0)
-      }
-      objRhs = objRhs - f * pRhs
-      basis(r) = c
-    }
-
-    /** Row `i` minus `f` times the pivot row `p`, dropping the entries that
-      * cancel and recording fill-in and cancellations in [[rowsOf]].
-      */
-    private def eliminate(i: Int, f: Rational, p: Row): Row = {
-      val row = rows(i)
-      val cs = new Array[Int](row.cols.length + p.cols.length)
-      val vs = new Array[Rational](cs.length)
-      var a = 0; var b = 0; var k = 0
-      while (a < row.cols.length || b < p.cols.length) {
-        val ca = if (a < row.cols.length) row.cols(a) else Int.MaxValue
-        val cb = if (b < p.cols.length) p.cols(b) else Int.MaxValue
-        if (ca < cb) {
-          cs(k) = ca; vs(k) = row.vals(a); k += 1; a += 1
-        } else {
-          val v = if (ca == cb) { a += 1; row.vals(a - 1) - f * p.vals(b) } else -(f * p.vals(b))
-          if (v.isZero) rowsOf(cb).clear(i)
-          else { cs(k) = cb; vs(k) = v; k += 1; rowsOf(cb).set(i) }
-          b += 1
-        }
-      }
-      new Row(java.util.Arrays.copyOf(cs, k), java.util.Arrays.copyOf(vs, k))
-    }
-
-    /** The basic solution over the original columns, if phase 1 reached 0. */
-    def solution: Option[Array[Rational]] =
-      if (!objRhs.isZero) None
-      else {
-        val x = Array.fill(n)(Rational.Zero)
-        for (i <- 0 until m if basis(i) < n) x(basis(i)) = rhs(i)
-        Some(x)
-      }
+    basis(r) = c
   }
 
   /** Find a non-negative *integer* solution of `{ eqs, x ≥ 0 }` with
     * branch-and-bound: branch a fractional basic `x_j = f` into
     * `x_j ≤ ⌊f⌋` and `x_j ≥ ⌈f⌉`, each encoded as an equality with a fresh
-    * slack/surplus variable. Every node is solved from scratch over `eqs`'
-    * rows, converted once, and its branch rows. The root LP is node 1.
+    * slack/surplus variable. Every node is solved from scratch over `eqs`
+    * and its branch rows. The root LP is node 1.
     * The point is None iff the LP itself is infeasible; throws an
     * `IllegalStateException` naming the nodes searched if no integer point
     * is found within `maxNodes`.
     */
   def feasibleIntegral(nVars: Int, eqs: Seq[Eq], maxNodes: Int = 1000): Integral = {
-    val base = eqs.map(rowOf(nVars, _))
     var nodes = 1
     var pivots = 0L
 
     // Branch constraints are (varIdx, bound, isUpper); each contributes one
     // equality row with its own fresh slack variable at solve time.
     def solveWith(branches: List[(Int, BigInt, Boolean)]): Option[Array[Rational]] = {
-      val total = nVars + branches.size
       val extra = branches.zipWithIndex.map { case ((j, b, upper), k) =>
         val slackSign = if (upper) Rational.One else Rational(-1) // x_j ± s = b
-        rowOf(total, Eq(Seq(j -> Rational.One, (nVars + k) -> slackSign), Rational(b)))
+        Eq(Seq(j -> Rational.One, (nVars + k) -> slackSign), Rational(b))
       }
-      val v = solve(total, base ++ extra)
+      val v = vertex(nVars + branches.size, eqs ++ extra)
       pivots += v.pivots
       v.x.map(_.take(nVars))
     }

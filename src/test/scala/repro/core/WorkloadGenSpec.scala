@@ -11,7 +11,7 @@ class WorkloadGenSpec extends AnyFunSuite {
   private def spec(seed: Long = 1) = WorkloadSpec(
     numQueries = 10, maxDims = 2, filterProb = 0.8, maxDisjuncts = 2,
     constantGrid = 6, poolSize = 4, defaultAttrsPerConjunct = 1,
-    wideAttrs = Map("item" -> 5), soloQueries = 3, seed = seed)
+    wideAttrs = Map("item" -> 5), seed = seed)
 
   test("deterministic in the seed") {
     val a = WorkloadGen.generate(schema, TpcdsLite.facts, spec())
@@ -26,7 +26,7 @@ class WorkloadGenSpec extends AnyFunSuite {
     val solos = qs.filter(_.joined.isEmpty)
     assert(qs.size == 10 + solos.size)
     assert(solos.forall(_.root == "item"))
-    assert(solos.size <= 3 && solos.nonEmpty)
+    assert(solos.size <= WorkloadGen.SoloQueries && solos.nonEmpty)
   }
 
   test("solo queries on wide relations use multi-attribute conjuncts") {
@@ -44,7 +44,7 @@ class WorkloadGenSpec extends AnyFunSuite {
     val dimFilters = qs.flatMap(_.filters).filter(f => !TpcdsLite.facts.contains(f._1))
     val distinctPerRel = dimFilters.groupBy(_._1).map { case (r, fs) => r -> fs.map(_._2).distinct.size }
     distinctPerRel.foreach { case (r, n) =>
-      assert(n <= 4 + 3, s"$r uses $n distinct filters — pool not respected")
+      assert(n <= 4 + WorkloadGen.SoloQueries, s"$r uses $n distinct filters — pool not respected")
     }
   }
 

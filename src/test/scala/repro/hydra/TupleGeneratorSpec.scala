@@ -119,13 +119,6 @@ class TupleGeneratorSpec extends SparkSpec {
     assert(mm.getLong(0) == 101L && mm.getLong(1) == 250L)
   }
 
-  test("numPartitions controls split count without changing content") {
-    val one = TupleGenerator.dataFrame(spark, summaryPath, "S", numPartitions = 1)
-    val many = TupleGenerator.dataFrame(spark, summaryPath, "S", numPartitions = 7)
-    assert(many.rdd.getNumPartitions == 7)
-    assert(one.exceptAll(many).isEmpty && many.exceptAll(one).isEmpty)
-  }
-
   test("default split count is one per 65 536 rows, at most 16") {
     def oneRow(name: String, n: Long) =
       RelationSummary(name, s"${name}_pk", Vector("x"), Vector.empty, Vector((Vector(0.0), Vector.empty, n)))
@@ -156,12 +149,12 @@ class TupleGeneratorSpec extends SparkSpec {
     assert(huge.starts == Vector(0L, half, 2 * half) && huge.total == Long.MaxValue - 1)
     val p = java.nio.file.Files.createTempFile("tg-half", ".summary").toString
     DbSummary.save(DbSummary(Vector(huge)), p)
-    for ((opts, want) <- Seq(Map.empty[String, String] -> 16, Map("numPartitions" -> "7") -> 7)) {
-      val splits = new SummaryScan(SummarySource.schemaFor(huge), opts ++ Map("path" -> p, "relation" -> "H"))
-        .planInputPartitions().map(_.asInstanceOf[SummaryInputPartition])
-      assert(splits.length == want, splits.map(s => (s.start, s.end)).mkString(" "))
-      assert(splits.head.start == 0 && splits.last.end == huge.total)
-      splits.sliding(2).foreach { case Array(a, b) => assert(a.end == b.start && a.end > a.start) }
+    val scan = new SummaryScan(SummarySource.schemaFor(huge), Map("path" -> p, "relation" -> "H"))
+      .planInputPartitions().map(_.asInstanceOf[SummaryInputPartition]).map(s => (s.start, s.end)).toVector
+    for ((splits, want) <- Seq(scan -> 16, SummaryScan.splits(0, huge.total, 7) -> 7)) {
+      assert(splits.length == want, splits.mkString(" "))
+      assert(splits.head._1 == 0 && splits.last._2 == huge.total)
+      assert(splits.tail.map(_._1) == splits.init.map(_._2) && splits.forall { case (s, e) => e > s })
     }
   }
 

@@ -49,22 +49,17 @@ class SimplexSpec extends SparkSpec with PropSupport {
   private def eq(rhs: Long, vars: (Int, Long)*): Eq =
     Eq(vars.map { case (i, c) => i -> Rational(c) }, Rational(rhs))
 
-  private def checkSolution(n: Int, eqs: Seq[Eq], x: Array[Rational]): Unit = {
-    assert(x.length == n)
-    assert(x.forall(_.signum >= 0), "negative component")
-    eqs.foreach { e =>
-      val lhs = e.coeffs.foldLeft(Rational.Zero) { case (s, (j, c)) => s + c * x(j) }
-      assert(lhs == e.rhs, s"violated: $e, got $lhs")
-    }
-  }
+  /** `x` has one entry per variable, none negative, and meets every row. */
+  private def solves(n: Int, eqs: Seq[Eq], x: Array[Rational]): Boolean =
+    x.length == n && x.forall(_.signum >= 0) &&
+      eqs.forall(e => e.coeffs.foldLeft(Rational.Zero) { case (s, (j, c)) => s + c * x(j) } == e.rhs)
 
   test("paper Figure 4b system: y1+y2=1000, y2+y3=2000, y1+..+y4=8000") {
     val eqs = Seq(
       eq(1000, 0 -> 1L, 1 -> 1L),
       eq(2000, 1 -> 1L, 2 -> 1L),
       eq(8000, 0 -> 1L, 1 -> 1L, 2 -> 1L, 3 -> 1L))
-    val x = feasible(4, eqs).get
-    checkSolution(4, eqs, x)
+    assert(solves(4, eqs, feasible(4, eqs).get))
   }
 
   test("infeasible: conflicting totals") {
@@ -82,13 +77,18 @@ class SimplexSpec extends SparkSpec with PropSupport {
     val eqs = Seq(
       Eq(Seq(0 -> Rational.One, 1 -> Rational(-1)), Rational(-3)),
       eq(5, 0 -> 1L, 1 -> 1L))
-    val x = feasible(2, eqs).get
-    checkSolution(2, eqs, x)
+    assert(solves(2, eqs, feasible(2, eqs).get))
   }
 
   test("zero rhs works (origin feasible)") {
     val eqs = Seq(eq(0, 0 -> 1L, 1 -> 1L))
-    checkSolution(2, eqs, feasible(2, eqs).get)
+    assert(solves(2, eqs, feasible(2, eqs).get))
+  }
+
+  test("Dantzig pricing breaks a tie to the lowest column") {
+    // x0 + x1 = 1 prices both columns at 1: x0 enters, giving (1, 0); x1 would give (0, 1).
+    val v = vertex(2, Seq(eq(1, 0 -> 1L, 1 -> 1L)))
+    assert(v.x.get.toSeq == Seq(Rational.One, Rational.Zero) && v.pivots == 1)
   }
 
   test("integral solution on an integral system") {
@@ -131,13 +131,7 @@ class SimplexSpec extends SparkSpec with PropSupport {
         val vars = (0 until n).filter(sel)
         Eq(vars.map(_ -> Rational.One), Rational(vars.map(truth).sum))
       } :+ Eq((0 until n).map(_ -> Rational.One), Rational(truth.sum))
-      feasible(n, eqs) match {
-        case None => false
-        case Some(x) =>
-          eqs.forall { e =>
-            e.coeffs.foldLeft(Rational.Zero) { case (s, (j, c)) => s + c * x(j) } == e.rhs
-          } && x.forall(_.signum >= 0)
-      }
+      feasible(n, eqs).exists(solves(n, eqs, _))
     }, minTests = 60)
   }
 
@@ -153,15 +147,7 @@ class SimplexSpec extends SparkSpec with PropSupport {
         val vars = (0 until n).filter(sel)
         Eq(vars.map(_ -> Rational.One), Rational(vars.map(truth).sum))
       }
-      feasibleIntegral(n, eqs).x match {
-        case None => false
-        case Some(s) =>
-          eqs.forall { e =>
-            e.coeffs.foldLeft(Rational.Zero) { case (sum, (j, c)) =>
-              sum + c * Rational(s(j))
-            } == e.rhs
-          }
-      }
+      feasibleIntegral(n, eqs).x.exists(s => solves(n, eqs, s.map(Rational(_))))
     }, minTests = 60)
   }
 
@@ -182,12 +168,14 @@ class SimplexSpec extends SparkSpec with PropSupport {
 
   private def blandAfter(n: Int, eqs: Seq[Eq]): Long = 4L * (eqs.size + n) + 200
 
-  /** Random systems: small signed coefficients (so repeated indices can sum
-    * to zero), zero RHS (degenerate vertices), RHS of either sign, often
-    * infeasible; 0/1 partition systems with a known solution; and the
-    * cycling example.
+  /** Random systems, each with whether it has a known non-negative point:
+    * small signed coefficients (so repeated indices can sum to zero), zero
+    * RHS (degenerate vertices), RHS of either sign, often infeasible, known
+    * feasible when every RHS is zero; 0/1 partition systems with their RHS
+    * evaluated on a known point; and the cycling example, which
+    * `(1, 0, 1, 0, 2, 0, 0)` solves.
     */
-  private val genSystem: Gen[(Int, Seq[Eq])] = {
+  private val genSystem: Gen[(Int, Seq[Eq], Boolean)] = {
     val general = for {
       n <- Gen.chooseNum(1, 25)
       m <- Gen.chooseNum(0, 20)
@@ -196,7 +184,7 @@ class SimplexSpec extends SparkSpec with PropSupport {
         coeffs <- Gen.listOfN(k, Gen.zip(Gen.chooseNum(0, n - 1), Gen.chooseNum(-3L, 3L)))
         rhs <- Gen.frequency(3 -> Gen.const(0L), 5 -> Gen.chooseNum(-20L, 40L))
       } yield Eq(coeffs.map { case (j, c) => j -> r(c) }, r(rhs)))
-    } yield (n, eqs)
+    } yield (n, eqs, eqs.forall(_.rhs.isZero))
     val partition = for {
       n <- Gen.chooseNum(2, 40)
       truth <- Gen.listOfN(n, Gen.chooseNum(0L, 30L))
@@ -205,49 +193,44 @@ class SimplexSpec extends SparkSpec with PropSupport {
     } yield (n, subsets.map { sel =>
       val vars = (0 until n).filter(sel)
       Eq(vars.map(_ -> Rational.One), r(vars.map(truth).sum))
-    })
-    Gen.frequency(12 -> general, 6 -> partition, 1 -> Gen.const(cycling))
-  }
-
-  private def sameVertex(n: Int, eqs: Seq[Eq]): Boolean = {
-    val d = DenseSimplex.vertex(n, eqs)
-    val s = vertex(n, eqs)
-    d.pivots == s.pivots && d.x.map(_.toSeq) == s.x.map(_.toSeq)
+    }, true)
+    Gen.frequency(12 -> general, 6 -> partition, 1 -> Gen.const((cycling._1, cycling._2, true)))
   }
 
   test("Dantzig cycles on Chvátal's example; Bland's rule ends it at the dense vertex") {
     val (n, eqs) = cycling
     val v = vertex(n, eqs)
-    assert(v.pivots > blandAfter(n, eqs), s"${v.pivots} pivots: the Bland fallback was not reached")
-    checkSolution(n, eqs, v.x.get)
-    assert(sameVertex(n, eqs))
+    assert(blandAfter(n, eqs) == 244 && v.pivots == 247, s"${v.pivots} pivots")
+    assert(v.x.get.toSeq == Seq(1, 0, 1, 0, 2, 0, 0).map(r(_)) && solves(n, eqs, v.x.get))
   }
 
-  test("sparse and dense simplex return the same vertex after the same pivots (property)") {
+  test("random systems: every vertex is a solution; known-feasible ones are solved") {
     val seen = scala.collection.mutable.Set[String]()
-    checkProp(Prop.forAll(genSystem) { case (n, eqs) =>
+    checkProp(Prop.forAll(genSystem) { case (n, eqs, known) =>
       val v = vertex(n, eqs)
       if (v.x.isEmpty) seen += "infeasible"
       if (eqs.exists(_.rhs.isZero)) seen += "zero rhs"
       if (eqs.exists(_.rhs.signum < 0)) seen += "negative rhs"
       if (eqs.exists(e => e.coeffs.map(_._1).distinct.size < e.coeffs.size)) seen += "repeated index"
       if (v.pivots > blandAfter(n, eqs)) seen += "bland"
-      sameVertex(n, eqs)
+      v.x.forall(solves(n, eqs, _)) && (!known || v.x.nonEmpty)
     }, minTests = 500)
     assert(seen == Set("infeasible", "zero rhs", "negative rhs", "repeated index", "bland"))
   }
 
   for ((name, w) <- Seq("WLs" -> (() => TestWorkloads.wls), "WLc" -> (() => TestWorkloads.wlc),
                         "JOB" -> (() => TestWorkloads.job)))
-    test(s"$name: sparse and dense simplex agree on every view LP") {
-      w().viewLps.foreach(lp => assert(sameVertex(lp.nVars, lp.eqs), s"view ${lp.relation}"))
+    test(s"$name: the vertex of every view LP satisfies A·x = b and x ≥ 0") {
+      w().viewLps.foreach { lp =>
+        assert(vertex(lp.nVars, lp.eqs).x.exists(solves(lp.nVars, lp.eqs, _)), s"view ${lp.relation}")
+      }
     }
 
   for ((name, w) <- Seq("WLs" -> (() => TestWorkloads.wls), "JOB" -> (() => TestWorkloads.job)))
-    test(s"$name: sparse and dense branch-and-bound find the same integral point on every view") {
+    test(s"$name: branch-and-bound finds an integral point of every view LP") {
       w().viewLps.foreach { lp =>
-        assert(feasibleIntegral(lp.nVars, lp.eqs).x.map(_.toSeq) ==
-          DenseSimplex.feasibleIntegral(lp.nVars, lp.eqs).map(_.toSeq), s"view ${lp.relation}")
+        val x = feasibleIntegral(lp.nVars, lp.eqs).x
+        assert(x.exists(p => solves(lp.nVars, lp.eqs, p.map(Rational(_)))), s"view ${lp.relation}")
       }
     }
 
@@ -255,7 +238,7 @@ class SimplexSpec extends SparkSpec with PropSupport {
     val lp = TestWorkloads.job.viewLps.maxBy(_.nVars)
     val stats = LPFormulator.solveIntegral(lp).stats
     assert(stats.bbNodes == 1, "the root LP of this view is integral")
-    assert(stats.pivots == DenseSimplex.vertex(lp.nVars, lp.eqs).pivots && stats.pivots > 0)
+    assert(stats.pivots == vertex(lp.nVars, lp.eqs).pivots && stats.pivots > 0)
     assert(stats.nnz == lp.eqs.map(_.coeffs.size).sum)
   }
 
