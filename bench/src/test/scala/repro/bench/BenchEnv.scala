@@ -81,6 +81,11 @@ object BenchEnv {
     if (cc.card == 0) { if (got == 0) 0.0 else 1.0 }
     else (got - cc.card).toDouble / cc.card
 
+  /** The middle value of `xs` (the upper one of the two middles if `xs`
+    * has an even size).
+    */
+  def median[T: Ordering](xs: Seq[T]): T = xs.sorted.apply(xs.size / 2)
+
   def time[A](body: => A): (A, Long) = {
     val t0 = System.nanoTime()
     val a = body

@@ -29,30 +29,34 @@ class Fig14MaterializationBench extends AnyFunSuite {
       TupleGenerator.materialize(spark, p, s"$outRoot/warmup")
     }
 
+    // Each side runs 3 times per scale, alternating, and reports its median:
+    // one wall-clock run of either side swings with the host's load.
     val rows = Seq(1L, 10L, 100L).map { k =>
       val (ccs, totals) = BenchEnv.wlsScaled(k)
-
-      // Hydra: summary → dynamic generation → parquet.
-      val (_, hydraMs) = BenchEnv.time {
-        val res = Hydra.buildSummary(schema, ccs, totals)
-        val p = java.nio.file.Files.createTempFile("fig14", ".summary").toString
-        DbSummary.save(res.summary, p)
-        TupleGenerator.materialize(spark, p, s"$outRoot/hydra-$k")
-      }
-
-      // DataSynth: grid LP → per-tuple sampling → RI repair → parquet.
-      val (_, dsMs) = BenchEnv.time {
-        val grids = DataSynth.solveViews(schema, ccs, totals)
-        val inst = DataSynth.instantiate(schema, grids, ccs, seed = 7)
-        DataSynth.toRelationDfs(spark, schema, inst).foreach { case (rel, df) =>
-          df.write.mode("overwrite").parquet(s"$outRoot/ds-$k/$rel")
+      val runs = (1 to 3).map { i =>
+        // Hydra: summary → dynamic generation → parquet.
+        val (_, hydraMs) = BenchEnv.time {
+          val res = Hydra.buildSummary(schema, ccs, totals)
+          val p = java.nio.file.Files.createTempFile("fig14", ".summary").toString
+          DbSummary.save(res.summary, p)
+          TupleGenerator.materialize(spark, p, s"$outRoot/hydra-$k-$i")
         }
+
+        // DataSynth: grid LP → per-tuple sampling → RI repair → parquet.
+        val (_, dsMs) = BenchEnv.time {
+          val grids = DataSynth.solveViews(schema, ccs, totals)
+          val inst = DataSynth.instantiate(schema, grids, ccs, seed = 7)
+          DataSynth.toRelationDfs(spark, schema, inst).foreach { case (rel, df) =>
+            df.write.mode("overwrite").parquet(s"$outRoot/ds-$k/$rel")
+          }
+        }
+        (dsMs, hydraMs)
       }
       val totalRows = totals.values.sum
-      (k, totalRows, dsMs, hydraMs)
+      (k, totalRows, BenchEnv.median(runs.map(_._1)), BenchEnv.median(runs.map(_._2)))
     }
 
-    BenchEnv.table("Figure 14 — data materialization time",
+    BenchEnv.table("Figure 14 — data materialization time (medians of 3 runs)",
       Seq("scale", "total rows", "DataSynth", "Hydra", "speedup"),
       rows.map { case (k, n, ds, h) =>
         Seq(s"x$k", n.toString, s"$ds ms", s"$h ms", f"${ds.toDouble / h}%.1f") })

@@ -30,17 +30,19 @@ class Fig15DataSupplyBench extends AnyFunSuite {
       def scan(d: org.apache.spark.sql.DataFrame): Unit = {
         d.agg(count(lit(1)), sum(aggCol)).collect(); ()
       }
-      // Warm once, then measure.
-      val disk = spark.read.parquet(s"$outDir/$rel")
-      scan(disk)
-      val (_, diskMs) = BenchEnv.time(scan(spark.read.parquet(s"$outDir/$rel")))
-      val dyn = TupleGenerator.dataFrame(spark, sumPath, rel)
-      scan(dyn)
-      val (_, dynMs) = BenchEnv.time(scan(TupleGenerator.dataFrame(spark, sumPath, rel)))
-      (rel, res.summary.byName(rel).total, diskMs, dynMs)
+      // Warm once, then measure 3 times per side, alternating: one
+      // wall-clock run of either side swings with the host's load.
+      scan(spark.read.parquet(s"$outDir/$rel"))
+      scan(TupleGenerator.dataFrame(spark, sumPath, rel))
+      val runs = Seq.fill(3) {
+        val (_, diskMs) = BenchEnv.time(scan(spark.read.parquet(s"$outDir/$rel")))
+        val (_, dynMs) = BenchEnv.time(scan(TupleGenerator.dataFrame(spark, sumPath, rel)))
+        (diskMs, dynMs)
+      }
+      (rel, res.summary.byName(rel).total, BenchEnv.median(runs.map(_._1)), BenchEnv.median(runs.map(_._2)))
     }
 
-    BenchEnv.table("Figure 15 — data supply times (aggregate scan)",
+    BenchEnv.table("Figure 15 — data supply times (aggregate scan, medians of 3 runs)",
       Seq("relation", "rows", "disk (parquet)", "dynamic (summary)"),
       rows.map { case (r, n, d, g) => Seq(r, n.toString, s"$d ms", s"$g ms") })
     println("paper (100GB): e.g. store_sales 168s disk vs 87s dynamic — " +

@@ -111,7 +111,7 @@ object Aqp {
     val byRel = ccs.groupBy(_.relation)
     val counted = SparkJobs.perRelation(dfs(relations.head).sparkSession.sparkContext, relations) { rel =>
       val relCcs = byRel(rel)
-      val row = viewFrame(schema, dfs, rel, relCcs.flatMap(_.pred.attrs).toSet)
+      val row = viewFrame(schema, dfs, rel, relCcs.flatMap(_.pred.attrs).toSet, dfs(rel))
         .select(relCcs.map(cc => count(when(cc.pred.toColumn, 1))): _*)
         .head()
       relCcs.zipWithIndex.map { case (cc, i) => cc.dedupKey -> row.getLong(i) }
@@ -119,20 +119,43 @@ object Aqp {
     ccs.map(cc => cc.copy(card = counted(cc.dedupKey)))
   }
 
-  /** `rel`'s view (§3.2), as far as predicates over `attrs` need it: `rel`
-    * left-joined, recursively, along each FK whose target's closure holds
-    * one of `attrs`. Every tuple of `rel` stays one row; a dangling FK gives
-    * nulls, which satisfy no range, so such a row counts only for predicates
-    * that do not look at the missing relation.
+  /** `rel`'s view (§3.2), as far as predicates over `attrs` need it: `base`
+    * (`rel`'s tuples) left-joined, recursively, along each FK whose target's
+    * closure holds one of `attrs`. Every tuple of `rel` stays one row; a
+    * dangling FK gives nulls, which satisfy no range, so such a row counts
+    * only for predicates that do not look at the missing relation.
+    *
+    * A target whose join would be shuffled is first cut down to the tuples
+    * `base`'s FK points at, by a semi-join (Bernstein & Chiu, JACM 1981),
+    * when that semi-join is itself a broadcast: see [[semiJoinReduced]].
+    * The tuples it drops join no tuple of `base`, so every count is the same.
     */
   private def viewFrame(schema: SchemaDef, dfs: Map[String, DataFrame], rel: String,
-                        attrs: Set[String]): DataFrame =
+                        attrs: Set[String], base: DataFrame): DataFrame =
     schema.byName(rel).fks
       .filter(fk => schema.viewAttrs(fk.target).exists(attrs))
-      .foldLeft(dfs(rel)) { (acc, fk) =>
-        val target = viewFrame(schema, dfs, fk.target, attrs)
-        acc.join(target, acc(fk.column) === target(schema.byName(fk.target).pkCol), "left")
+      .foldLeft(base) { (acc, fk) =>
+        val pk = schema.byName(fk.target).pkCol
+        val reduced = semiJoinReduced(dfs(fk.target), pk, base, fk.column)
+        val target = viewFrame(schema, dfs, fk.target, attrs, reduced)
+        acc.join(target, acc(fk.column) === target(pk), "left")
       }
+
+  /** `target`'s tuples whose `pk` is among `referrer`'s `fk` values, if
+    * `target` is larger than the frames' `spark.sql.autoBroadcastJoinThreshold`
+    * (its join with a view would be shuffled) and the `fk` column fits under
+    * it (the semi-join is a broadcast, so it adds no shuffle); else `target`.
+    * Sizes are the optimized plans' estimates. The keys keep their
+    * duplicates: the broadcast hash build absorbs them.
+    */
+  private def semiJoinReduced(target: DataFrame, pk: String, referrer: DataFrame, fk: String): DataFrame = {
+    val threshold = target.sparkSession.sessionState.conf.autoBroadcastJoinThreshold
+    def size(df: DataFrame) = df.queryExecution.optimizedPlan.stats.sizeInBytes
+    lazy val keys = referrer.select(fk)
+    if (threshold > 0 && size(target) > threshold && size(keys) <= threshold)
+      target.join(keys, target(pk) === keys(fk), "left_semi")
+    else target
+  }
 
   /** A view holds one copy of each relation in its FK closure
     * ([[SchemaDef.viewAttrs]]); fail if `rel`'s closure reaches one twice.

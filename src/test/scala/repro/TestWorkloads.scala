@@ -14,8 +14,10 @@ object TestWorkloads {
   val sf = 0.002
 
   final case class Captured(name: String, schema: SchemaDef, ccs: Seq[CC], totals: Map[String, Long]) {
-    /** Every view LP of the workload, as `Hydra.buildSummary` formulates it. */
-    lazy val viewLps: Seq[ViewLp] = {
+    /** Every view LP of the workload, as `Hydra.buildSummary` formulates it:
+      * region partition, then formulation, of each relation's view.
+      */
+    def formulate(): Seq[ViewLp] = {
       val byRel = ccs.groupBy(_.relation)
       schema.relations.map { r =>
         val relCcs = byRel.getOrElse(r.name, Nil)
@@ -23,6 +25,8 @@ object TestWorkloads {
         LPFormulator.build(schema, r.name, relCcs, CC.relationSize(r.name, relCcs, totals), subs, parts)
       }
     }
+
+    lazy val viewLps: Seq[ViewLp] = formulate()
   }
 
   private lazy val tpcdsDb = TpcdsLite.clientDb(SparkSpec.shared, sf)

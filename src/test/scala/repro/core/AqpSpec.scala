@@ -1,9 +1,18 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.ListenerBusAccess
-import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.plans.LeftSemi
+import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.joins.{BaseJoinExec, BroadcastHashJoinExec}
 import org.apache.spark.sql.util.QueryExecutionListener
 import repro.SparkSpec
+import repro.hydra.{DbSummary, Hydra, TupleGenerator}
+import scala.jdk.CollectionConverters._
 
 class ClientDbSpec extends SparkSpec {
   private val schema = repro.tpcds.TpcdsLite.schema
@@ -44,9 +53,35 @@ class ClientDbSpec extends SparkSpec {
   }
 }
 
-class AqpSpec extends SparkSpec {
+class AqpSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   private val schema = repro.tpcds.TpcdsLite.schema
   private lazy val dfs = repro.tpcds.TpcdsLite.clientDb(spark, 0.002)
+
+  /** `body`'s result and the query executions of the Spark actions it ran
+    * on `session` (whose listeners hear only its own queries).
+    */
+  private def actions[A](session: SparkSession)(body: => A): (A, Seq[QueryExecution]) = {
+    val seen = new ConcurrentLinkedQueue[QueryExecution]()
+    val listener = new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = seen.add(qe)
+      override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = seen.add(qe)
+    }
+    session.listenerManager.register(listener)
+    try {
+      val a = body
+      ListenerBusAccess.drain(spark.sparkContext)
+      (a, seen.asScala.toSeq)
+    } finally session.listenerManager.unregister(listener)
+  }
+
+  /** The left semi-joins in the executed plans of `qes`. */
+  private def semiJoins(qes: Seq[QueryExecution]): Seq[SparkPlan] =
+    qes.flatMap(qe => collect(qe.executedPlan) { case j: BaseJoinExec if j.joinType == LeftSemi => j })
+
+  private def sizeOf(df: DataFrame): BigInt = df.queryExecution.optimizedPlan.stats.sizeInBytes
+
+  private def setThreshold(session: SparkSession, bytes: BigInt): Unit =
+    session.conf.set("spark.sql.autoBroadcastJoinThreshold", bytes.toString)
 
   private val q = Query(
     "store_sales", Seq("item", "date_dim"),
@@ -124,21 +159,81 @@ class AqpSpec extends SparkSpec {
   }
 
   test("capture runs one Spark action per relation that has CCs") {
-    val session = spark.newSession() // its listeners hear only its own queries
+    val session = spark.newSession()
     val client = repro.tpcds.TpcdsLite.clientDb(session, 0.002)
-    val actions = new java.util.concurrent.atomic.AtomicInteger()
-    val listener = new QueryExecutionListener {
-      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
-        actions.incrementAndGet()
-      override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit =
-        actions.incrementAndGet()
+    val (ccs, qes) = actions(session)(Aqp.extractWorkloadCCs(schema, repro.tpcds.TpcdsWorkload.wls(), client))
+    assert(qes.size == ccs.map(_.relation).distinct.size)
+  }
+
+  /** A session whose broadcast threshold is the size of the SF 0.002
+    * `store_returns.sr_ticket` column, below `store_sales`' size, so that the
+    * `sr_ticket → store_sales` edge is semi-join reduced; and its client DB.
+    */
+  private lazy val reducing: (SparkSession, Map[String, DataFrame]) = {
+    val session = spark.newSession()
+    val client = repro.tpcds.TpcdsLite.clientDb(session, 0.002)
+    val keys = sizeOf(client("store_returns").select("sr_ticket"))
+    assert(keys < sizeOf(client("store_sales")))
+    setThreshold(session, keys)
+    (session, client)
+  }
+
+  for ((name, wl) <- Seq(("WLs", repro.tpcds.TpcdsWorkload.wls()), ("WLc", repro.tpcds.TpcdsWorkload.wlc()))) {
+    test(s"$name: a semi-join reduced capture gives the left-deep and the unreduced counts") {
+      val (session, client) = reducing
+      val (ccs, qes) = actions(session)(Aqp.extractWorkloadCCs(schema, wl, client))
+      assert(semiJoins(qes).exists(_.isInstanceOf[BroadcastHashJoinExec]), "no broadcast semi-join ran")
+      assert(ccs == LeftDeepAqp.extractWorkloadCCs(schema, wl, client))
+      assert(ccs == Aqp.extractWorkloadCCs(schema, wl, dfs))
     }
-    session.listenerManager.register(listener)
-    try {
-      val ccs = Aqp.extractWorkloadCCs(schema, repro.tpcds.TpcdsWorkload.wls(), client)
-      ListenerBusAccess.drain(spark.sparkContext)
-      assert(actions.get == ccs.map(_.relation).distinct.size)
-    } finally session.listenerManager.unregister(listener)
+  }
+
+  test("a view side is semi-join reduced only if it is over the threshold and its keys under it") {
+    val session = spark.newSession()
+    val client = repro.tpcds.TpcdsLite.clientDb(session, 0.002)
+    val q = Query("store_returns", Seq("store_sales"), Map("store_sales" -> range("ss_quantity", 1, 50)))
+    val target = sizeOf(client("store_sales"))
+    val keys = sizeOf(client("store_returns").select("sr_ticket"))
+    val unreduced = Aqp.extractWorkloadCCs(schema, Seq(q), dfs)
+    // The target under the threshold; the keys over it; both in between.
+    for ((threshold, reduced) <- Seq(target -> 0, (keys - 1) -> 0, keys -> 1)) {
+      setThreshold(session, threshold)
+      val (ccs, qes) = actions(session)(Aqp.extractWorkloadCCs(schema, Seq(q), client))
+      assert(semiJoins(qes).size == reduced, s"threshold $threshold (target $target, keys $keys)")
+      assert(ccs == unreduced)
+    }
+  }
+
+  test("WLs ×100 regenerated: store_returns' CCs shuffle fewer records than store_sales has rows") {
+    val wls = repro.TestWorkloads.wls
+    val res = Hydra.buildSummary(schema, wls.ccs.map(_.scaled(100)),
+      wls.totals.map { case (r, n) => r -> CC.scaledCount(r, n, 100) })
+    val path = java.nio.file.Files.createTempFile("aqp-x100", ".summary").toString
+    DbSummary.save(res.summary, path)
+    val session = spark.newSession()
+    setThreshold(session, BigInt(10L << 20)) // Spark's default
+    val frames = schema.relations.map(r => r.name -> TupleGenerator.dataFrame(session, path, r.name)).toMap
+    val queries = repro.tpcds.TpcdsWorkload.wls().filter(_.root == "store_returns")
+    assert(queries.nonEmpty)
+
+    val sc = spark.sparkContext
+    val records = new AtomicLong()
+    val listener = new SparkListener {
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (e.taskMetrics != null) records.addAndGet(e.taskMetrics.shuffleWriteMetrics.recordsWritten)
+    }
+    ListenerBusAccess.drain(sc)
+    sc.addSparkListener(listener)
+    val ccs = try {
+      val ccs = Aqp.extractWorkloadCCs(schema, queries, frames)
+      ListenerBusAccess.drain(sc)
+      ccs
+    } finally sc.removeSparkListener(listener)
+
+    val storeSales = res.summary.byName("store_sales").total
+    assert(records.get < storeSales, s"${records.get} shuffle records, store_sales has $storeSales rows")
+    assert(ccs.exists(_.relation == "store_returns"))
+    ccs.foreach(cc => assert(cc.card == res.ccCount(cc), cc))
   }
 
   test("a dangling FK counts for the base CC and for no predicate on the missing tuple") {
@@ -157,6 +252,34 @@ class AqpSpec extends SparkSpec {
     assert(card(("R", Set("B"))) == 3)          // looks at R only
     assert(card(("R", Set("A", "B"))) == 2)     // needs the S tuple that is missing
     assert(card(("S", Set("A"))) == 2)
+  }
+
+  test("a dangling FK into a semi-join reduced relation counts for the base CC and own-attribute CCs only") {
+    val sch = SchemaDef(Seq(
+      Relation("T", "t_pk", Seq(Attr("C", 0, 10)), Nil),
+      Relation("S", "s_pk", Seq(Attr("A", 0, 10)), Seq(ForeignKey("s_t", "T"))),
+      Relation("R", "r_pk", Seq(Attr("B", 0, 10)), Seq(ForeignKey("r_s", "S")))))
+    val session = spark.newSession()
+    import session.implicits._
+    val db = Map(
+      "T" -> Seq((1L, 1.0), (2L, 5.0)).toDF("t_pk", "C"),
+      "S" -> (1L to 200L).map(k => (k, (k % 10).toDouble, 1 + k % 2)).toDF("s_pk", "A", "s_t"),
+      "R" -> Seq((1L, 1.0, 1L), (2L, 2.0, 2L), (3L, 3.0, 999L)).toDF("r_pk", "B", "r_s"))
+    val q = Query("R", Seq("S", "T"),
+      Map("R" -> range("B", 0, 10), "S" -> range("A", 0, 10), "T" -> range("C", 0, 10)))
+    val unreduced = Aqp.extractWorkloadCCs(sch, Seq(q), db)
+    setThreshold(session, sizeOf(db("R").select("r_s")))
+    assert(sizeOf(db("S")) > sizeOf(db("R").select("r_s")))
+    val (ccs, qes) = actions(session)(Aqp.extractWorkloadCCs(sch, Seq(q), db))
+    assert(semiJoins(qes).nonEmpty)
+    assert(ccs == unreduced)
+    val card = ccs.map(c => (c.relation, c.pred.attrs) -> c.card).toMap
+    assert(card(("R", Set.empty[String])) == 3)    // every R tuple, dangling or not
+    assert(card(("R", Set("B"))) == 3)             // looks at R only
+    assert(card(("R", Set("A", "B"))) == 2)        // needs the S tuple that is missing
+    assert(card(("R", Set("A", "B", "C"))) == 2)
+    assert(card(("S", Set("A"))) == 200)            // S's own count is not reduced
+    assert(card(("T", Set("C"))) == 2)
   }
 
   test("a FK closure that reaches a relation twice is rejected, naming both paths") {
