@@ -1,7 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.{count, when}
+import org.apache.spark.sql.execution.SQLExecution
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.DoubleType
 
 /** Cardinality constraints (CCs, §2.2) and their extraction from Annotated
   * Query Plans executed on the client database.
@@ -82,11 +84,17 @@ object Aqp {
     * the root relation's view, with the conjunction of all filters applied
     * so far as its predicate (§3.2). The first of repeated CCs wins.
     *
-    * All CCs of one relation are counted by one aggregate over its view
-    * (see [[viewFrame]]): under PK-FK integrity every tuple of a relation
-    * joins exactly one tuple of each relation it references, so a filtered
-    * count over the view equals the left-deep join's output cardinality.
-    * The relations' aggregates run concurrently ([[SparkJobs.perRelation]]);
+    * All CCs of one relation are counted in one pass over its view (see
+    * [[viewFrame]]): under PK-FK integrity every tuple of a relation joins
+    * exactly one tuple of each relation it references, so a filtered count
+    * over the view equals the left-deep join's output cardinality. The view
+    * is projected to the CCs' attributes as doubles, and each task counts
+    * its rows with a [[DnfCounter]] compiled once on the driver: exactly
+    * `COUNT(CASE WHEN pred THEN 1 END)` per CC (a null fails every finite
+    * bound; NaN is above every double), without generated code per CC or a
+    * final aggregate. The driver sums the per-partition counts. Each
+    * relation's count is one named SQL execution, so one Spark action; the
+    * relations' counts run concurrently ([[SparkJobs.perRelation]]);
     * planning and validation stay on the calling thread.
     */
   def extractWorkloadCCs(
@@ -111,10 +119,15 @@ object Aqp {
     val byRel = ccs.groupBy(_.relation)
     val counted = SparkJobs.perRelation(dfs(relations.head).sparkSession.sparkContext, relations) { rel =>
       val relCcs = byRel(rel)
-      val row = viewFrame(schema, dfs, rel, relCcs.flatMap(_.pred.attrs).toSet, dfs(rel))
-        .select(relCcs.map(cc => count(when(cc.pred.toColumn, 1))): _*)
-        .head()
-      relCcs.zipWithIndex.map { case (cc, i) => cc.dedupKey -> row.getLong(i) }
+      val counter = DnfCounter.of(relCcs.map(_.pred))
+      val qe = viewFrame(schema, dfs, rel, counter.attrs.toSet, dfs(rel))
+        .select(counter.attrs.map(a => col(a).cast(DoubleType)): _*)
+        .queryExecution
+      // A relation with no tuples may have no partitions, hence no reduce.
+      val perPartition = SQLExecution.withNewExecutionId(qe, Some("count")) {
+        qe.toRdd.mapPartitions(rows => Iterator(counter.count(rows))).collect()
+      }
+      relCcs.zipWithIndex.map { case (cc, i) => cc.dedupKey -> perPartition.map(_(i)).sum }
     }.flatten.toMap
     ccs.map(cc => cc.copy(card = counted(cc.dedupKey)))
   }

@@ -1,6 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.Column
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.util.SQLOrderingUtil.compareDoubles
 import org.apache.spark.sql.functions.{col, lit}
 
 /** DNF predicate algebra over numeric attributes (§4.1).
@@ -92,4 +94,82 @@ final case class Dnf(conjuncts: Seq[Conjunct]) {
 object Dnf {
   val True: Dnf = Dnf(Nil)
   def of(cs: Conjunct*): Dnf = Dnf(cs)
+}
+
+/** Counts, in one pass over rows, the rows each of a list of DNFs holds on:
+  * for every DNF, exactly Spark's `COUNT(CASE WHEN dnf THEN 1 END)` with the
+  * DNF as [[Dnf.toColumn]]. A row holds the doubles of [[attrs]], in that
+  * order, each possibly null.
+  *
+  * Built once by [[DnfCounter.of]], it is flat arrays of ranges (attribute
+  * index, lo, hi), so a Spark task can count with it without generated code
+  * per predicate. It follows [[Dnf.toColumn]]:
+  *  - a null value fails every range with a finite bound;
+  *  - `lo = -∞` and `hi = +∞` are no bound, and a range with both holds even
+  *    on null (`toColumn`'s `lit(true)`);
+  *  - values compare as Spark compares doubles (`compareDoubles`): −0.0
+  *    equals 0.0, and NaN sorts above every double, so it passes `>= lo` and
+  *    fails `< hi`;
+  *  - a DNF counts a row once if any conjunct holds; `TRUE` counts every row.
+  */
+final class DnfCounter private (
+    val attrs: Vector[String],
+    firstConjunct: Array[Int], // DNF d's conjuncts: firstConjunct(d) until firstConjunct(d + 1)
+    firstRange: Array[Int],    // conjunct c's ranges: firstRange(c) until firstRange(c + 1)
+    attr: Array[Int],
+    lo: Array[Double],
+    hi: Array[Double],
+) extends Serializable {
+
+  /** How many of `rows` each DNF holds on, in the DNFs' order. */
+  def count(rows: Iterator[InternalRow]): Array[Long] = {
+    val counts = new Array[Long](firstConjunct.length - 1)
+    rows.foreach { row =>
+      var d = 0
+      while (d < counts.length) {
+        if (holds(d, row)) counts(d) += 1
+        d += 1
+      }
+    }
+    counts
+  }
+
+  private def holds(d: Int, row: InternalRow): Boolean = {
+    var c = firstConjunct(d)
+    var any = false
+    while (!any && c < firstConjunct(d + 1)) {
+      var k = firstRange(c)
+      var all = true
+      while (all && k < firstRange(c + 1)) {
+        all = inRange(k, row)
+        k += 1
+      }
+      any = all
+      c += 1
+    }
+    any
+  }
+
+  private def inRange(k: Int, row: InternalRow): Boolean = !row.isNullAt(attr(k)) && {
+    val x = row.getDouble(attr(k))
+    (lo(k) == Double.NegativeInfinity || compareDoubles(x, lo(k)) >= 0) &&
+    (hi(k) == Double.PositiveInfinity || compareDoubles(x, hi(k)) < 0)
+  }
+}
+
+object DnfCounter {
+  def of(dnfs: Seq[Dnf]): DnfCounter = {
+    val attrs = dnfs.flatMap(_.attrs).distinct.sorted.toVector
+    val conjuncts = dnfs.map(d => if (d.isTrue) Seq(Conjunct.True) else d.conjuncts)
+    // A range with no finite bound holds on every row, null included.
+    val ranges = conjuncts.flatten.map(_.ranges.filterNot(r => r.iv.lo.isNegInfinity && r.iv.hi.isPosInfinity))
+    val flat = ranges.flatten
+    new DnfCounter(
+      attrs,
+      conjuncts.scanLeft(0)(_ + _.size).toArray,
+      ranges.scanLeft(0)(_ + _.size).toArray,
+      flat.map(r => attrs.indexOf(r.attr)).toArray,
+      flat.map(_.iv.lo).toArray,
+      flat.map(_.iv.hi).toArray)
+  }
 }

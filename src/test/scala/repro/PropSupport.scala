@@ -7,9 +7,10 @@ import org.scalatest.Assertions
   * in the offline cache). Runs a property and fails the suite on falsify.
   */
 trait PropSupport { this: Assertions =>
-  def checkProp(prop: Prop, minTests: Int = 100): Unit = {
+  /** `seed`, if given, fixes the generated cases, so every run checks the same ones. */
+  def checkProp(prop: Prop, minTests: Int = 100, seed: Option[Long] = None): Unit = {
     val params = org.scalacheck.Test.Parameters.default.withMinSuccessfulTests(minTests)
-    val res = org.scalacheck.Test.check(params, prop)
+    val res = org.scalacheck.Test.check(seed.fold(params)(params.withInitialSeed), prop)
     assert(res.passed, s"property falsified: ${res.status}")
   }
 }

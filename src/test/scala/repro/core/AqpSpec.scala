@@ -3,15 +3,18 @@ package repro.core
 import java.util.concurrent.ConcurrentLinkedQueue
 import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.ListenerBusAccess
-import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.plans.LeftSemi
+import org.apache.spark.sql.catalyst.plans.physical.SinglePartition
 import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
-import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanHelper, ShuffleQueryStageExec}
+import org.apache.spark.sql.execution.aggregate.BaseAggregateExec
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import org.apache.spark.sql.execution.joins.{BaseJoinExec, BroadcastHashJoinExec}
 import org.apache.spark.sql.util.QueryExecutionListener
 import repro.SparkSpec
-import repro.hydra.{DbSummary, Hydra, TupleGenerator}
+import repro.hydra.{DbSummary, Hydra, RelationSummary, TupleGenerator}
 import scala.jdk.CollectionConverters._
 
 class ClientDbSpec extends SparkSpec {
@@ -163,6 +166,73 @@ class AqpSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val client = repro.tpcds.TpcdsLite.clientDb(session, 0.002)
     val (ccs, qes) = actions(session)(Aqp.extractWorkloadCCs(schema, repro.tpcds.TpcdsWorkload.wls(), client))
     assert(qes.size == ccs.map(_.relation).distinct.size)
+  }
+
+  test("a WLs capture runs no aggregate and no single-partition shuffle: one job per relation besides its view's stages") {
+    val session = spark.newSession()
+    setThreshold(session, BigInt(10L << 20)) // Spark's default: the dimensions are broadcast
+    val client = repro.tpcds.TpcdsLite.clientDb(session, 0.002)
+    val sc = spark.sparkContext
+    val jobs = new ConcurrentLinkedQueue[java.util.Properties]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.add(e.properties)
+    }
+    ListenerBusAccess.drain(sc)
+    sc.addSparkListener(listener)
+    val (ccs, qes) =
+      try actions(session)(Aqp.extractWorkloadCCs(schema, repro.tpcds.TpcdsWorkload.wls(), client))
+      finally sc.removeSparkListener(listener)
+
+    qes.foreach { qe =>
+      val aggregates = collect(qe.executedPlan) { case a: BaseAggregateExec => a }
+      val gathers = collect(qe.executedPlan) {
+        case s: ShuffleExchangeLike if s.outputPartitioning == SinglePartition => s
+      }
+      assert(aggregates.isEmpty && gathers.isEmpty, qe.executedPlan.treeString)
+    }
+    // Besides the broadcasts, an execution runs one job per shuffle stage of
+    // its view (adaptive execution materializes each alone) and one job
+    // that counts.
+    val broadcast = (p: java.util.Properties) => Option(p.getProperty("spark.job.tags")).exists(_.contains("broadcast"))
+    val byExecution = jobs.asScala.toSeq.groupBy(p => Option(p.getProperty("spark.sql.execution.id")))
+    assert(jobs.asScala.exists(broadcast), "no broadcast ran")
+    assert(byExecution.size == ccs.map(_.relation).distinct.size && !byExecution.contains(None))
+    val shuffleStages = qes.map(qe => collect(qe.executedPlan) { case s: ShuffleQueryStageExec => s }.size)
+    assert(byExecution.values.map(_.count(!broadcast(_))).toSeq.sorted == shuffleStages.map(_ + 1).sorted)
+  }
+
+  test("a relation with no tuples counts 0 for every CC, as a client frame and regenerated") {
+    val sch = SchemaDef(Seq(
+      Relation("S", "s_pk", Seq(Attr("A", 0, 10)), Nil),
+      Relation("R", "r_pk", Seq(Attr("B", 0, 10)), Seq(ForeignKey("r_s", "S")))))
+    val session = spark
+    import session.implicits._
+    val client = Map(
+      "S" -> Seq((1L, 1.0), (2L, 7.0)).toDF("s_pk", "A"),
+      "R" -> Seq.empty[(Long, Double, Long)].toDF("r_pk", "B", "r_s"))
+    val path = java.nio.file.Files.createTempFile("aqp-empty", ".summary").toString
+    DbSummary.save(DbSummary(Vector(
+      RelationSummary("S", "s_pk", Vector("A"), Vector.empty,
+        Vector((Vector(1.0), Vector.empty, 1L), (Vector(7.0), Vector.empty, 1L))),
+      RelationSummary("R", "r_pk", Vector("B"), Vector("r_s"), Vector.empty))), path)
+    val regenerated = Seq("S", "R").map(r => r -> TupleGenerator.dataFrame(spark, path, r)).toMap
+    assert(regenerated("R").rdd.getNumPartitions == 0)
+    val own = Query("R", Nil, Map("R" -> range("B", 0, 5)))
+    val joined = Query("R", Seq("S"), Map("R" -> range("B", 0, 5), "S" -> range("A", 0, 5)))
+    for ((db, name) <- Seq(client -> "client", regenerated -> "regenerated"); q <- Seq(own, joined)) {
+      val card = Aqp.extractWorkloadCCs(sch, Seq(q), db).map(c => (c.relation, c.pred.attrs) -> c.card).toMap
+      val rCards = card.collect { case ((r, _), n) if r == "R" => n }
+      assert(rCards.size == q.relations.size + 1 && rCards.forall(_ == 0), s"$name: $card")
+      if (q.joined.nonEmpty) assert(card(("S", Set("A"))) == 1, s"$name: $card")
+    }
+  }
+
+  test("a relation whose only CC is its size counts its rows through a zero-column projection") {
+    val session = spark.newSession()
+    val client = repro.tpcds.TpcdsLite.clientDb(session, 0.002)
+    val (ccs, qes) = actions(session)(Aqp.extractWorkloadCCs(schema, Seq(Query("store", Nil, Map.empty)), client))
+    assert(ccs == Seq(CC("store", Dnf.True, client("store").count())))
+    assert(qes.size == 1 && qes.head.executedPlan.output.isEmpty, qes.map(_.executedPlan.treeString))
   }
 
   /** A session whose broadcast threshold is the size of the SF 0.002
