@@ -3,7 +3,7 @@ package repro.datasynth
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
 import repro.core._
-import repro.hydra.{Block, LPFormulator}
+import repro.hydra.LPFormulator
 import scala.collection.mutable
 
 /** Reimplementation of the DataSynth baseline (Arasu et al., SIGMOD'11) as
@@ -19,7 +19,8 @@ import scala.collection.mutable
   */
 object DataSynth {
 
-  /** Grid LP of one view. `masses` is None when the grid exceeded
+  /** Grid LP of one view: each sub-view's cells (one interval per
+    * attribute) with their masses. `masses` is None when the grid exceeded
     * `solveCap` variables — the analogue of the paper's solver crash.
     */
   final case class ViewGrid(
@@ -27,7 +28,7 @@ object DataSynth {
       total: Long,
       subs: Vector[ViewGraph.SubView],
       gridVars: BigInt,
-      masses: Option[Vector[Vector[(Block, Double)]]],
+      masses: Option[Vector[Vector[(Vector[Interval], Double)]]],
       lpMillis: Long,
   ) {
     def solvable: Boolean = masses.isDefined
@@ -48,14 +49,15 @@ object DataSynth {
     if (gridVars > solveCap)
       return ViewGrid(relation, total, subs, gridVars, None,
         (System.nanoTime() - t0) / 1000000)
-    val parts = subs.map(GridPartition.cells(schema, nonTrue, _))
+    val cells = subs.map(GridPartition.cells(schema, nonTrue, _))
     // Key sub-views by their grid cells: consistency holds cell by cell.
     val cellKeys = subs.flatMap(_.attrs).distinct.flatMap { a =>
       GridPartition.intervals(schema, nonTrue, a).map(iv => Conjunct.range(a, iv.lo, iv.hi))
     }
-    val lp = LPFormulator.build(schema, relation, ccs, total, subs, parts, Some(cellKeys))
+    val corners = cells.map(_.map(_.map(_.lo)))
+    val lp = LPFormulator.build(schema, relation, ccs, total, subs, corners, Some(cellKeys))
     val masses = LPFormulator.solveFractional(lp).map(
-      _.map(_.map { case (b, r) => (b, r.toDouble) }))
+      cells.zip(_).map { case (cs, ms) => cs.zip(ms.map(_.toDouble)) })
     ViewGrid(relation, total, subs, gridVars,
       masses.orElse(throw new IllegalStateException(s"infeasible grid LP for $relation")),
       (System.nanoTime() - t0) / 1000000)
@@ -120,9 +122,9 @@ object DataSynth {
       for ((sub, masses) <- g.subs.zip(g.masses.get)) {
         val shared = sub.attrs.filter(assigned.contains)
         val newAttrs = sub.attrs.filterNot(assigned.contains)
-        def fill(t: Array[Double], b: Block, dims: Seq[String]): Unit =
+        def fill(t: Array[Double], cell: Vector[Interval], dims: Seq[String]): Unit =
           dims.foreach { a =>
-            val iv = b.boxes.head.ivs(sub.attrs.indexOf(a))
+            val iv = cell(sub.attrs.indexOf(a))
             val hi = if (iv.hi.isPosInfinity) iv.lo + 1 else iv.hi
             t(attrPos(a)) = iv.lo + rnd.nextDouble() * (hi - iv.lo)
           }
@@ -136,9 +138,7 @@ object DataSynth {
           }
         } else {
           val sharedDims = shared.map(a => sub.attrs.indexOf(a))
-          val groups = masses.groupBy { case (b, _) =>
-            sharedDims.map(d => b.boxes.head.ivs(d).lo).toVector
-          }
+          val groups = masses.groupBy { case (cell, _) => sharedDims.map(cell(_).lo).toVector }
           val cums = groups.map { case (k, ms) =>
             k -> (ms, ms.scanLeft(0.0)(_ + _._2).tail)
           }

@@ -2,7 +2,6 @@ package repro.datasynth
 
 import repro.core._
 import repro.core.ViewGraph.SubView
-import repro.hydra.{Block, Box}
 
 /** DataSynth's grid-partitioning strategy (§3.2, Figure 3a).
   *
@@ -43,14 +42,12 @@ object GridPartition {
     ViewGraph.subViews(nonTrue).map(cellCount(schema, nonTrue, _)).sum
   }
 
-  /** Enumerate the grid cells of a sub-view as single-box blocks.
+  /** Enumerate the grid cells of a sub-view, one interval per attribute.
     * Because boundaries are per-attribute (view-wide), shared dimensions are
     * aligned across sub-views cell by cell.
     */
-  def cells(schema: SchemaDef, ccs: Seq[CC], sub: SubView): Vector[Block] = {
-    val dims = sub.attrs.map(intervals(schema, ccs, _))
-    dims.foldLeft(Vector(Vector.empty[Interval])) { (acc, ivs) =>
+  def cells(schema: SchemaDef, ccs: Seq[CC], sub: SubView): Vector[Vector[Interval]] =
+    sub.attrs.map(intervals(schema, ccs, _)).foldLeft(Vector(Vector.empty[Interval])) { (acc, ivs) =>
       for (prefix <- acc; iv <- ivs) yield prefix :+ iv
-    }.map(ivs => Block(Vector(Box(ivs))))
-  }
+    }
 }

@@ -6,28 +6,29 @@ import repro.lp.{Rational, Simplex}
 
 /** Builds and solves the partitioned LP of one view (§4).
   *
-  * One variable per block of each sub-view's partition; constraints are
-  * (a) the view total per sub-view, (b) each CC encoded over the blocks of
-  * every sub-view that covers its attributes, and (c) consistency on each
-  * clique-tree edge: per key class of the child's separator, the child's
-  * blocks hold as many tuples as the parent's. A key class is a truth
-  * vector of the CC conjuncts restricted to the separator and to the
-  * separator intersections inside it. Every partition is homogeneous in
-  * those restrictions ([[regionPartitions]]), so on one key class each
-  * block is a product of the class and its other attributes, which is what
-  * lets align & merge ([[SummaryGenerator]]) pair tuples class by class.
+  * One variable per region of each sub-view's partition, given by its
+  * representative point; constraints are (a) the view total per sub-view,
+  * (b) each CC encoded over the regions of every sub-view that covers its
+  * attributes, and (c) consistency on each clique-tree edge: per key class
+  * of the child's separator, the child's regions hold as many tuples as
+  * the parent's. A key class is a truth vector of the CC conjuncts
+  * restricted to the separator and to the separator intersections inside
+  * it. Every partition is homogeneous in those restrictions
+  * ([[regionPartitions]]), so on one key class each region is a product of
+  * the class and its other attributes, which is what lets align & merge
+  * ([[SummaryGenerator]]) pair tuples class by class.
   *
   * Hydra instantiates this with region partitions ([[RegionPartition]]);
-  * the DataSynth baseline reuses [[build]] with grid partitions, keyed by
-  * its grid intervals.
+  * the DataSynth baseline reuses [[build]] with the lo-corners of its grid
+  * cells, keyed by its grid intervals.
   */
 object LPFormulator {
 
-  /** Solution for one sub-view: RIP-ordered rows of (the block's first box,
+  /** Solution for one sub-view: RIP-ordered rows of (the region's point,
     * count). `key` lists the separator restrictions whose truth vector at a
-    * row's lo-corner is its key class (empty for the first sub-view).
+    * row's point is its key class (empty for the first sub-view).
     */
-  final case class SubViewSolution(sub: SubView, key: Vector[Conjunct], rows: Vector[(Box, Long)])
+  final case class SubViewSolution(sub: SubView, key: Vector[Conjunct], rows: Vector[(Vector[Double], Long)])
 
   /** `exact` is always true: [[solveIntegral]] throws rather than return a
     * solution that misses a constraint. It is kept for callers that report
@@ -61,7 +62,7 @@ object LPFormulator {
       relation: String,
       total: Long,
       subs: Vector[SubView],
-      parts: Vector[Vector[Block]],
+      parts: Vector[Vector[Vector[Double]]],
       keys: Vector[Vector[Conjunct]],
       eqs: Vector[Simplex.Eq],
   ) {
@@ -83,7 +84,7 @@ object LPFormulator {
       schema: SchemaDef,
       relation: String,
       ccs: Seq[CC],
-  ): (Vector[SubView], Vector[Vector[Block]]) = {
+  ): (Vector[SubView], Vector[Vector[Vector[Double]]]) = {
     val nonTrue = ccs.filterNot(_.pred.isTrue)
     val subs = ViewGraph.subViews(nonTrue)
     val (_, _, family) = cliqueTree(relation, subs)
@@ -96,8 +97,8 @@ object LPFormulator {
     (subs, partitions)
   }
 
-  def domainOf(schema: SchemaDef, attrs: Vector[String]): Box =
-    Box(attrs.map(a => { val at = schema.attrByName(a); Interval(at.lo, at.hi) }))
+  def domainOf(schema: SchemaDef, attrs: Vector[String]): Vector[Interval] =
+    attrs.map(a => { val at = schema.attrByName(a); Interval(at.lo, at.hi) })
 
   /** The clique tree of RIP-ordered sub-views: each one's separator (the
     * attributes it shares with the sub-views before it) and parent (the
@@ -138,7 +139,7 @@ object LPFormulator {
       ccs: Seq[CC],
       total: Long,
       subs: Vector[SubView],
-      parts: Vector[Vector[Block]],
+      parts: Vector[Vector[Vector[Double]]],
       keySource: Option[Seq[Conjunct]] = None,
   ): ViewLp = {
     val nonTrue = ccs.filterNot(_.pred.isTrue)
@@ -152,7 +153,7 @@ object LPFormulator {
         Rational(total))
 
     // (b) CC constraints, encoded in every covering sub-view.
-    val reps = subs.indices.map(i => parts(i).map(_.representative(subs(i).attrs)))
+    val reps = subs.indices.map(i => parts(i).map(subs(i).attrs.zip(_).toMap))
     for (cc <- nonTrue; i <- subs.indices if cc.pred.attrs.subsetOf(subs(i).attrSet)) {
       val vars = reps(i).zipWithIndex.collect {
         case (p, r) if cc.pred.eval(p) => (offsets(i) + r) -> Rational.One
@@ -190,12 +191,12 @@ object LPFormulator {
     }
     val sol = res.x.getOrElse(throw new IllegalStateException(s"infeasible LP for view ${lp.relation} ($size)"))
     val solutions = lp.subs.indices.map { i =>
-      val rows = lp.parts(i).zipWithIndex.flatMap { case (b, r) =>
+      val rows = lp.parts(i).zipWithIndex.flatMap { case (pt, r) =>
         val v = sol(lp.offsets(i) + r)
         if (!v.isValidLong)
           throw new ArithmeticException(
             s"LP for view ${lp.relation}: variable ${lp.offsets(i) + r} = $v does not fit in a Long")
-        if (v.signum > 0) Some((b.boxes.head, v.toLong)) else None
+        if (v.signum > 0) Some((pt, v.toLong)) else None
       }
       SubViewSolution(lp.subs(i), lp.keys(i), rows)
     }.toVector
@@ -206,13 +207,12 @@ object LPFormulator {
   }
 
   /** Solve a view LP over the rationals (DataSynth path: the masses feed a
-    * probabilistic sampler, so fractional solutions are acceptable).
+    * probabilistic sampler, so fractional solutions are acceptable). The
+    * masses of each sub-view are in `lp.parts` order.
     */
-  def solveFractional(lp: ViewLp): Option[Vector[Vector[(Block, Rational)]]] =
+  def solveFractional(lp: ViewLp): Option[Vector[Vector[Rational]]] =
     Simplex.feasible(lp.nVars, lp.eqs).map { x =>
-      lp.subs.indices.map { i =>
-        lp.parts(i).zipWithIndex.map { case (b, r) => (b, x(lp.offsets(i) + r)) }
-      }.toVector
+      lp.parts.indices.map(i => Vector.tabulate(lp.parts(i).size)(r => x(lp.offsets(i) + r))).toVector
     }
 
   /** Region-partitioned formulation + integral solve (the Hydra pipeline). */

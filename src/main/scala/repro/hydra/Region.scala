@@ -1,14 +1,28 @@
 package repro.hydra
 
-import repro.core.{Conjunct, Dnf, Interval}
+import repro.core.{Dnf, Interval}
 
 /** Region-partitioning of a sub-view domain (§4.2, Algorithms 1 & 2).
   *
-  * A [[Box]] is an axis-aligned product of half-open intervals over the
-  * sub-view's attributes; a [[Block]] is a union of disjoint boxes. Blocks
-  * are split lazily, one dimension at a time, only by sub-constraints that
-  * actually split them — crucially the "outside" of a split stays a single
-  * block, which is what keeps region counts far below grid-cell counts.
+  * The optimal partition of Lemma 4.3 is the set of label classes of the
+  * constraints, and §5.2 instantiates each region at one point, so a region
+  * here *is* one representative point over the sub-view's attributes (the
+  * lo-corner of a box of the region); its label is the constraints' truth
+  * vector there. The LP, align & merge and the summary read nothing else.
+  *
+  * Blocks are split lazily, one dimension at a time, only by sub-constraints
+  * that actually split them — crucially the "outside" of a split stays a
+  * single block, which is what keeps region counts far below grid-cell
+  * counts. One point per block is enough to do that exactly: while
+  * dimension `d` is being split, every box of a block still spans the whole
+  * domain on `d`, and every split clips all of them alike. So each piece of
+  * the block is its extent on the other dimensions times one list of 1-D
+  * intervals on `d`, which decides whether a sub-constraint splits it, and
+  * the piece's first box has the lo-corner
+  * `rep.updated(d, intervals.head.lo)`. Merging
+  * blocks keeps the first one's point. The regions' points and their order
+  * are therefore those of the box-by-box algorithm.
+  *
   * The blocks of one view's sub-views are never split again to align them:
   * [[LPFormulator.regionPartitions]] hands Algorithm 1 each sub-view's
   * separator restrictions as extra DNFs, and the labels do the rest.
@@ -25,76 +39,45 @@ import repro.core.{Conjunct, Dnf, Interval}
   * partition of Lemma 4.3 — only the intermediate work shrinks from the
   * grid product to (near) the output size.
   */
-final case class Box(ivs: Vector[Interval]) {
-  def loPoint: Vector[Double] = ivs.map(_.lo)
-  /** Piece of this box inside `iv` along `dim` (if any). */
-  def clip(dim: Int, iv: Interval): Option[Box] = {
-    val x = ivs(dim).intersect(iv)
-    if (x.isEmpty) None else Some(Box(ivs.updated(dim, x)))
-  }
-  /** Pieces of this box outside `iv` along `dim` (0–2 boxes). */
-  def minus(dim: Int, iv: Interval): Seq[Box] =
-    ivs(dim).minus(iv).map(p => Box(ivs.updated(dim, p)))
-}
-
-final case class Block(boxes: Vector[Box]) {
-  require(boxes.nonEmpty, "empty block")
-  /** Deterministic representative point: the lo-corner of the first box. */
-  def representative(attrs: Vector[String]): Map[String, Double] =
-    attrs.zip(boxes.head.loPoint).toMap
-}
-
 object RegionPartition {
 
-  /** Algorithm 2 with alive-set pruning: valid partition of `domain` w.r.t.
-    * the given sub-constraints, returned with each block's final alive-set
-    * (the sub-constraints the whole block satisfies).
+  /** Algorithm 1: the optimal partition of `domain` (one interval per
+    * attribute of `attrs`) w.r.t. DNF constraints — Algorithm 2's valid
+    * partition with alive-set pruning, coarsened by merging blocks with
+    * identical constraint-satisfaction labels. Returns each region's
+    * representative point, ordered by it.
     */
-  def validPartitionLabeled(
-      domain: Box,
-      attrs: Vector[String],
-      subCs: Vector[Conjunct],
-  ): Vector[(Block, Set[Int])] = {
-    // A block and the indices of sub-constraints it still fully satisfies
-    // on all processed dimensions.
-    var p: Vector[(Vector[Box], Set[Int])] = Vector((Vector(domain), subCs.indices.toSet))
-    for (dim <- attrs.indices) {
-      val restrictions: Seq[(Int, Interval)] =
-        subCs.indices.flatMap(ci => subCs(ci).restriction(attrs(dim)).map(ci -> _))
-      for ((ci, iv) <- restrictions) {
-        p = p.flatMap { case (boxes, alive) =>
-          if (!alive.contains(ci)) Vector((boxes, alive))
-          else {
-            val in = boxes.flatMap(_.clip(dim, iv))
-            val out = boxes.flatMap(_.minus(dim, iv))
-            if (out.isEmpty) Vector((boxes, alive))           // C_i holds everywhere
-            else if (in.isEmpty) Vector((boxes, alive - ci))  // C_i fails everywhere
-            else Vector((in, alive), (out, alive - ci))
-          }
-        }
-      }
-      // Merge blocks that are indistinguishable from here on.
-      p = p.groupBy(_._2).toVector
-        .sortBy(_._2.head._1.head.loPoint.mkString(","))
-        .map { case (alive, bs) => (bs.flatMap(_._1), alive) }
-    }
-    p.map { case (boxes, alive) => (Block(boxes), alive) }
-  }
-
-  /** Algorithm 1: optimal partition of `domain` w.r.t. DNF constraints —
-    * the valid partition coarsened by merging blocks with identical
-    * constraint-satisfaction labels.
-    */
-  def optimalPartition(domain: Box, attrs: Vector[String], dnfs: Seq[Dnf]): Vector[Block] = {
+  def optimalPartition(domain: Vector[Interval], attrs: Vector[String], dnfs: Seq[Dnf]): Vector[Vector[Double]] = {
     val subCs = dnfs.flatMap(_.conjuncts).distinct.toVector
     val subIdx = subCs.zipWithIndex.toMap
     val owners: Vector[Vector[Int]] = // DNF -> indices of its conjuncts
       dnfs.toVector.map(_.conjuncts.map(subIdx).toVector)
-    val labeled = validPartitionLabeled(domain, attrs, subCs)
-    labeled
-      .groupBy { case (_, alive) => owners.map(_.exists(alive.contains)) }
-      .toVector
-      .sortBy(_._2.head._1.boxes.head.loPoint.mkString(","))
-      .map { case (_, bs) => Block(bs.flatMap(_._1.boxes)) }
+    // Blocks grouped by `key` of their alive-sets; a group keeps its first
+    // member's point, and the groups are ordered by it.
+    def merged[K](p: Vector[(Vector[Double], Set[Int])])(key: Set[Int] => K) =
+      p.groupBy(b => key(b._2)).toVector.map(_._2.head).sortBy(_._1.mkString(","))
+    // Each block's representative and the indices of the sub-constraints it
+    // still fully satisfies on all processed dimensions.
+    var p: Vector[(Vector[Double], Set[Int])] = Vector((domain.map(_.lo), subCs.indices.toSet))
+    for (dim <- attrs.indices) {
+      // While `dim` is split, a block's pieces differ only in their
+      // intervals on `dim`.
+      var q = p.map { case (rep, alive) => (rep, Vector(domain(dim)), alive) }
+      for (ci <- subCs.indices; iv <- subCs(ci).restriction(attrs(dim))) {
+        q = q.flatMap { case b @ (rep, ivs, alive) =>
+          if (!alive.contains(ci)) Vector(b)
+          else {
+            val in = ivs.map(_.intersect(iv)).filterNot(_.isEmpty)
+            val out = ivs.flatMap(_.minus(iv))
+            if (out.isEmpty) Vector(b)                          // C_i holds everywhere
+            else if (in.isEmpty) Vector((rep, ivs, alive - ci)) // C_i fails everywhere
+            else Vector((rep, in, alive), (rep, out, alive - ci))
+          }
+        }
+      }
+      // Merge blocks that are indistinguishable from here on.
+      p = merged(q.map { case (rep, ivs, alive) => (rep.updated(dim, ivs.head.lo), alive) })(identity)
+    }
+    merged(p)(alive => owners.map(_.exists(alive.contains))).map(_._1)
   }
 }

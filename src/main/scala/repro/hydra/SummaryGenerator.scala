@@ -5,88 +5,73 @@ import repro.hydra.LPFormulator.{SubViewSolution, ViewLpResult}
 import scala.collection.mutable
 
 /** Deterministic post-LP processing (§5): align & merge sub-view solutions
-  * into view solutions, instantiate them at interval left boundaries, repair
+  * into view solutions, instantiated at their regions' points, repair
   * referential integrity across views, and extract relation summaries.
   */
 object SummaryGenerator {
 
-  /** One interval-row of a partially merged view solution. */
-  private final case class IRow(ivs: Vector[Interval], count: Long)
-
   /** Align & merge the RIP-ordered sub-view solutions into a single view
-    * solution, then instantiate every interval at its left boundary
-    * (§5.1–5.2). Unconstrained view attributes get their domain minimum.
+    * solution (§5.1), starting from one row with no attributes that holds
+    * the view total, so the first sub-view's counts are checked against the
+    * total like any other key class. Every row is already instantiated at
+    * its region's point (§5.2); unconstrained view attributes get their
+    * domain minimum.
     */
   def viewSolution(schema: SchemaDef, lp: ViewLpResult): ViewTable = {
     val allAttrs = schema.viewAttrs(lp.relation).toVector
-    if (lp.total <= 0) return ViewTable(lp.relation, allAttrs, Vector.empty)
-
-    var curAttrs = Vector.empty[String]
-    var curRows = Vector.empty[IRow]
-    lp.solutions.foreach { s =>
-      val merged = mergeNext(lp.relation, curAttrs, curRows, s)
-      curAttrs = merged._1; curRows = merged._2
-    }
-    if (curAttrs.isEmpty) {
-      // No constrained attributes at all: one degenerate row of size total.
-      val vals = allAttrs.map(a => schema.attrByName(a).lo)
-      return ViewTable(lp.relation, allAttrs, Vector((vals, lp.total)))
+    val start = (Vector.empty[String], Vector((Vector.empty[Double], lp.total)))
+    val (attrs, rows) = lp.solutions.foldLeft(start) { case ((curAttrs, curRows), s) =>
+      mergeNext(lp.relation, curAttrs, curRows, s)
     }
     // Extend with unconstrained attributes and order columns canonically.
-    val missing = allAttrs.filterNot(curAttrs.contains)
-    val extended = curAttrs ++ missing
-    val defaults = missing.map(a => { val at = schema.attrByName(a); Interval(at.lo, at.hi) })
-    val perm = allAttrs.map(extended.indexOf)
-    val rows = curRows.filter(_.count > 0).map { r =>
-      val full = r.ivs ++ defaults
-      (perm.map(i => full(i).lo), r.count)
-    }
-    ViewTable(lp.relation, allAttrs, rows)
+    val missing = allAttrs.filterNot(attrs.contains)
+    val defaults = missing.map(schema.attrByName(_).lo)
+    val perm = allAttrs.map((attrs ++ missing).indexOf)
+    ViewTable(lp.relation, allAttrs,
+      rows.filter(_._2 > 0).map { case (pt, c) => val full = pt ++ defaults; (perm.map(full), c) })
   }
 
   /** One align-and-merge step (Algorithm 3 + §5.1.2–5.1.3): group both
     * sides by the sub-view's key class (the truth vector of `s.key` at a
-    * row's lo-corner), then pair counts positionally within each class. An
+    * row's point), then pair counts positionally within each class. An
     * exact LP solution makes the per-class totals match by the consistency
     * constraints; a class whose totals differ fails.
     */
   private def mergeNext(
       relation: String,
       curAttrs: Vector[String],
-      curRows: Vector[IRow],
+      curRows: Vector[(Vector[Double], Long)],
       s: SubViewSolution,
-  ): (Vector[String], Vector[IRow]) = {
+  ): (Vector[String], Vector[(Vector[Double], Long)]) = {
     val sAttrs = s.sub.attrs
-    val sRows = s.rows.map { case (b, c) => IRow(b.ivs, c) }
-    if (curAttrs.isEmpty) return (sAttrs, sRows)
-
     val sNewIdx = sAttrs.indices.filterNot(i => curAttrs.contains(sAttrs(i))).toVector
-    def keyed(attrs: Vector[String], rows: Vector[IRow]) =
-      rows.map(r => s.key.map(_.eval(attrs.zip(r.ivs.map(_.lo)).toMap)) -> r)
-    val (ka, kb) = (keyed(curAttrs, curRows), keyed(sAttrs, sRows))
+    def keyed(attrs: Vector[String], rows: Vector[(Vector[Double], Long)]) =
+      rows.map(r => s.key.map(_.eval(attrs.zip(r._1).toMap)) -> r)
+    val (ka, kb) = (keyed(curAttrs, curRows), keyed(sAttrs, s.rows))
     val (ga, gb) = (ka.groupMap(_._1)(_._2), kb.groupMap(_._1)(_._2))
-    val out = Vector.newBuilder[IRow]
+    val out = Vector.newBuilder[(Vector[Double], Long)]
 
     for (k <- (ka ++ kb).map(_._1).distinct) {
       val as = ga.getOrElse(k, Vector.empty)
       val bs = gb.getOrElse(k, Vector.empty)
-      val (totalA, totalB) = (as.map(_.count).sum, bs.map(_.count).sum)
+      val (totalA, totalB) = (as.map(_._2).sum, bs.map(_._2).sum)
       if (totalA != totalB) {
         val cls = s.key.zip(k).map { case (c, t) => if (t) c.toSql else s"NOT ${c.toSql}" }
+        val side = if (curAttrs.isEmpty) "the view total" else curAttrs.mkString("(", ", ", ")")
         throw new IllegalStateException(
           s"align & merge of view $relation: key class ${cls.mkString("[", ", ", "]")} has $totalA tuples " +
-          s"in (${curAttrs.mkString(", ")}) but $totalB in sub-view (${sAttrs.mkString(", ")})")
+          s"in $side but $totalB in sub-view (${sAttrs.mkString(", ")})")
       }
       var i = 0; var j = 0
-      var remA = if (as.nonEmpty) as(0).count else 0L
-      var remB = if (bs.nonEmpty) bs(0).count else 0L
+      var remA = if (as.nonEmpty) as(0)._2 else 0L
+      var remB = if (bs.nonEmpty) bs(0)._2 else 0L
       while (i < as.size && j < bs.size) {
         val take = math.min(remA, remB)
         if (take > 0)
-          out += IRow(as(i).ivs ++ sNewIdx.map(bs(j).ivs), take)
+          out += ((as(i)._1 ++ sNewIdx.map(bs(j)._1), take))
         remA -= take; remB -= take
-        if (remA == 0) { i += 1; if (i < as.size) remA = as(i).count }
-        if (remB == 0) { j += 1; if (j < bs.size) remB = bs(j).count }
+        if (remA == 0) { i += 1; if (i < as.size) remA = as(i)._2 }
+        if (remB == 0) { j += 1; if (j < bs.size) remB = bs(j)._2 }
       }
     }
     (curAttrs ++ sNewIdx.map(sAttrs), out.result())

@@ -34,7 +34,9 @@ import scala.jdk.CollectionConverters._
   *
   * Options: `path` (summary file), `relation`, `startPk`/`endPk` (generate
   * only PKs in `(startPk, endPk]` — used for slicing unboundedly large
-  * regenerated relations). The scan cuts its PK window into
+  * regenerated relations; whole numbers with
+  * `0 ≤ startPk ≤ endPk ≤ total`, else the scan fails, naming the relation
+  * and the option). The scan cuts its PK window into
   * `min(16, ceil(rows / 65536))` splits ([[SummaryScan.defaultSplits]]),
   * and reports the window's exact row count to Catalyst, so joins over
   * regenerated relations are planned with real sizes (e.g. dimensions are
@@ -84,11 +86,16 @@ private[hydra] class SummaryScan(tableSchema: StructType, options: Map[String, S
     extends Scan with Batch with SupportsReportStatistics {
   private val rel = SummarySource.loadRelation(options)
   private val opts = options.map { case (k, v) => k.toLowerCase -> v }
-  private val startPk = opts.get("startpk").map(_.toLong).getOrElse(0L)
-  private val endPk = opts.get("endpk").map(_.toLong).getOrElse(rel.total)
+  private def pkOption(name: String, default: Long): Long =
+    opts.get(name.toLowerCase).fold(default)(v => v.toLongOption.getOrElse(throw new IllegalArgumentException(
+      s"relation ${rel.relation}: option $name = '$v' is not a whole number")))
+  private val startPk = pkOption("startPk", 0L)
+  private val endPk = pkOption("endPk", rel.total)
   require(startPk >= 0 && endPk <= rel.total,
     s"relation ${rel.relation}: PK window ($startPk, $endPk] is outside its PKs 1..${rel.total}")
-  private val span = math.max(0L, endPk - startPk)
+  require(startPk <= endPk,
+    s"relation ${rel.relation}: PK window ($startPk, $endPk] is reversed: option startPk is above endPk")
+  private val span = endPk - startPk
 
   override def readSchema(): StructType = tableSchema
   override def toBatch: Batch = this

@@ -30,7 +30,7 @@ class GridPartitionSpec extends AnyFunSuite {
     assert(cells.size == 16)
     val pts = Seq((10.0, 10000.0), (30.0, 50000.0), (99.0, 99999.0), (0.0, 0.0))
     pts.foreach { case (a, s) =>
-      assert(cells.count(_.boxes.exists(b => b.ivs(0).contains(a) && b.ivs(1).contains(s))) == 1)
+      assert(cells.count(c => c(0).contains(a) && c(1).contains(s)) == 1)
     }
   }
 

@@ -37,7 +37,7 @@ class LPFormulatorSpec extends AnyFunSuite {
     // Reconstruct counts per CC from the sub-view solutions.
     for (cc0 <- ccs; s <- res.solutions if cc0.pred.attrs.subsetOf(s.sub.attrSet)) {
       val got = s.rows.collect {
-        case (b, c) if cc0.pred.eval(s.sub.attrs.zip(b.loPoint).toMap) => c
+        case (pt, c) if cc0.pred.eval(s.sub.attrs.zip(pt).toMap) => c
       }.sum
       assert(got == cc0.card, s"CC $cc0 on ${s.sub.attrs}: got $got")
     }
@@ -50,7 +50,7 @@ class LPFormulatorSpec extends AnyFunSuite {
     val Seq(s1, s2) = res.solutions
     def marginal(s: LPFormulator.SubViewSolution): Map[Double, Long] = {
       val yIdx = s.sub.attrs.indexOf("y")
-      s.rows.groupBy(_._1.ivs(yIdx).lo).map { case (k, rs) => k -> rs.map(_._2).sum }
+      s.rows.groupBy(_._1(yIdx)).map { case (k, rs) => k -> rs.map(_._2).sum }
     }
     assert(marginal(s1) == marginal(s2), "y-marginals differ between sub-views")
   }
@@ -72,8 +72,9 @@ class LPFormulatorSpec extends AnyFunSuite {
     val (subs, parts) = LPFormulator.regionPartitions(schema, "V", ccs)
     val lp = LPFormulator.build(schema, "V", ccs, 1000, subs, parts)
     val masses = LPFormulator.solveFractional(lp).get
+    assert(masses.map(_.size) == parts.map(_.size))
     masses.foreach { sv =>
-      val total = sv.map(_._2.toDouble).sum
+      val total = sv.map(_.toDouble).sum
       assert(math.abs(total - 1000.0) < 1e-6)
     }
   }
@@ -107,7 +108,7 @@ class LPFormulatorSpec extends AnyFunSuite {
     val s = res.solutions.head
     def count(lo: Double, hi: Double): Long = {
       val xIdx = s.sub.attrs.indexOf("x")
-      s.rows.collect { case (b, c) if b.ivs(xIdx).lo >= lo && b.ivs(xIdx).hi <= hi => c }.sum
+      s.rows.collect { case (pt, c) if pt(xIdx) >= lo && pt(xIdx) < hi => c }.sum
     }
     assert(count(0, 50) == 600)
     assert(count(30, 50) == 300)
@@ -119,12 +120,24 @@ class LPFormulatorSpec extends AnyFunSuite {
       cc(200, ("y", 25, 75), ("z", 20, 60)),
       cc(50, ("x", 30, 70)))
     val (subs, parts) = LPFormulator.regionPartitions(schema, "V", ccs)
-    for ((s, blocks) <- subs.zip(parts); b <- blocks) {
-      val dnfs = ccs.filter(_.pred.attrs.subsetOf(s.attrSet)).map(_.pred)
-      val sigs = b.boxes.map { box =>
-        dnfs.map(_.eval(s.attrs.zip(box.loPoint).toMap))
+    // Sub-views {x, y} and {y, z}; each also holds the CC conjuncts
+    // restricted to their separator {y}.
+    val sep = subs.map(_.attrSet).reduce(_ intersect _)
+    assert(sep == Set("y"))
+    val seps = ccs.flatMap(_.pred.conjuncts).map(c => Conjunct(c.ranges.filter(r => sep(r.attr))))
+      .filter(_.ranges.nonEmpty).distinct.map(Dnf.of(_))
+    val rnd = new scala.util.Random(7)
+    for ((s, reps) <- subs.zip(parts)) {
+      val dnfs = ccs.filter(_.pred.attrs.subsetOf(s.attrSet)).map(_.pred) ++ seps
+      def label(p: Vector[Double]) = dnfs.map(_.eval(s.attrs.zip(p).toMap))
+      val labels = reps.map(label)
+      assert(labels.distinct.size == labels.size, s"two regions share a label in sub-view ${s.attrs}")
+      // Each point's region (its label class) is homogeneous wrt every CC:
+      // exactly one region has the point's label.
+      for (_ <- 1 to 500) {
+        val p = s.attrs.map(_ => if (rnd.nextBoolean()) rnd.nextInt(100).toDouble else rnd.nextDouble() * 100)
+        assert(labels.count(_ == label(p)) == 1, s"point $p of sub-view ${s.attrs}")
       }
-      assert(sigs.distinct.size == 1, s"block mixes CC labels in sub-view ${s.attrs}")
     }
   }
 

@@ -5,22 +5,26 @@ import org.scalacheck.{Gen, Prop}
 import repro.PropSupport
 import repro.core._
 
-/** Property-based stress of the region partitioner: random constraint sets
-  * over a 3-D domain must always yield a partition that (a) covers, (b) is
-  * disjoint, (c) is label-homogeneous, and (d) is optimal (no two regions
-  * share a label).
+/** Property-based stress of the region partitioner against Lemma 4.3's
+  * definition: random constraint sets over a 3-D domain, with ±∞ bounds and
+  * bounds outside the domain, must always yield regions whose labels are
+  * pairwise distinct (optimal), whose representatives lie in the domain,
+  * and such that every point's label is exactly one region's label (the
+  * regions are all the label classes).
   */
 class RegionPropertySpec extends AnyFunSuite with PropSupport {
   private val attrs = Vector("x", "y", "z")
-  private val domain = Box(Vector(Interval(0, 20), Interval(0, 20), Interval(0, 20)))
+  private val domain = Vector(Interval(0, 20), Interval(0, 20), Interval(0, 20))
+
+  /** Range bounds: the domain's grid, two bounds outside it, and ±∞. */
+  private val bounds: Seq[Double] =
+    Seq(Double.NegativeInfinity, -5.0) ++ (0 to 20).map(_.toDouble) ++ Seq(25.0, Double.PositiveInfinity)
 
   private val genConj: Gen[Conjunct] = for {
     k <- Gen.chooseNum(1, 3)
     dims <- Gen.pick(k, attrs)
     ranges <- Gen.sequence[List[AttrRange], AttrRange](dims.map { a =>
-      for {
-        lo <- Gen.chooseNum(0, 18); w <- Gen.chooseNum(1, 10)
-      } yield AttrRange(a, Interval(lo, math.min(20, lo + w)))
+      Gen.pick(2, bounds).map(b => AttrRange(a, Interval(math.min(b(0), b(1)), math.max(b(0), b(1)))))
     }.toList)
   } yield Conjunct.of(ranges).get
 
@@ -29,35 +33,32 @@ class RegionPropertySpec extends AnyFunSuite with PropSupport {
     cs <- Gen.listOfN(n, genConj)
   } yield Dnf(cs.distinct)
 
+  private val genCoord: Gen[Double] = Gen.oneOf(Gen.chooseNum(0.0, 19.99), Gen.chooseNum(0, 19).map(_.toDouble))
   private val genPoint: Gen[Map[String, Double]] = for {
-    x <- Gen.chooseNum(0.0, 19.99); y <- Gen.chooseNum(0.0, 19.99); z <- Gen.chooseNum(0.0, 19.99)
+    x <- genCoord; y <- genCoord; z <- genCoord
   } yield Map("x" -> x, "y" -> y, "z" -> z)
 
-  private def regionOf(p: Vector[Block], pt: Map[String, Double]): Seq[Block] =
-    p.filter(_.boxes.exists(b =>
-      attrs.indices.forall(i => b.ivs(i).contains(pt(attrs(i))))))
+  private def labels(p: Vector[Vector[Double]], dnfs: Seq[Dnf]): Vector[Seq[Boolean]] =
+    p.map(r => dnfs.map(_.eval(attrs.zip(r).toMap)))
 
   test("random partitions cover each point exactly once") {
-    checkProp(Prop.forAll(Gen.listOfN(4, genDnf), genPoint) { (dnfs, pt) =>
-      val p = RegionPartition.optimalPartition(domain, attrs, dnfs)
-      regionOf(p, pt).size == 1
+    checkProp(Prop.forAll(Gen.listOfN(4, genDnf), Gen.listOfN(20, genPoint)) { (dnfs, pts) =>
+      val ls = labels(RegionPartition.optimalPartition(domain, attrs, dnfs), dnfs)
+      pts.forall(pt => ls.count(_ == dnfs.map(_.eval(pt))) == 1)
     }, minTests = 60)
   }
 
-  test("random partitions are label-homogeneous at the representative") {
-    checkProp(Prop.forAll(Gen.listOfN(4, genDnf), genPoint) { (dnfs, pt) =>
-      val p = RegionPartition.optimalPartition(domain, attrs, dnfs)
-      val r = regionOf(p, pt).head
-      val rep = r.representative(attrs)
-      dnfs.forall(d => d.eval(pt) == d.eval(rep))
+  test("random partitions: representatives lie in the domain") {
+    checkProp(Prop.forAll(Gen.listOfN(4, genDnf)) { dnfs =>
+      RegionPartition.optimalPartition(domain, attrs, dnfs).forall(r =>
+        r.size == domain.size && r.indices.forall(i => domain(i).contains(r(i))))
     }, minTests = 60)
   }
 
   test("random partitions are optimal: labels are pairwise distinct") {
     checkProp(Prop.forAll(Gen.listOfN(4, genDnf)) { dnfs =>
-      val p = RegionPartition.optimalPartition(domain, attrs, dnfs)
-      val labels = p.map(b => dnfs.map(_.eval(b.representative(attrs))))
-      labels.distinct.size == labels.size
+      val ls = labels(RegionPartition.optimalPartition(domain, attrs, dnfs), dnfs)
+      ls.distinct.size == ls.size
     }, minTests = 60)
   }
 

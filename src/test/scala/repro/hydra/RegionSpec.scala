@@ -11,11 +11,7 @@ import repro.core._
   */
 class RegionSpec extends AnyFunSuite with PropSupport {
   private val attrs = Vector("age", "salary")
-  private val domain = Box(Vector(Interval(0, 100), Interval(0, 100000)))
-
-  /** Algorithm 2 (valid partition only). */
-  private def validPartition(domain: Box, attrs: Vector[String], subCs: Seq[Conjunct]): Vector[Block] =
-    RegionPartition.validPartitionLabeled(domain, attrs, subCs.toVector).map(_._1)
+  private val domain = Vector(Interval(0, 100), Interval(0, 100000))
 
   private val c1 = Dnf.of( // age < 40 ∧ salary < 40K
     Conjunct.of(Seq(AttrRange("age", Interval(Double.NegativeInfinity, 40)),
@@ -24,6 +20,8 @@ class RegionSpec extends AnyFunSuite with PropSupport {
     Conjunct.of(Seq(AttrRange("age", Interval(20, 60)),
       AttrRange("salary", Interval(20000, 60000)))).get)
 
+  private def at(p: Vector[Double]): Map[String, Double] = attrs.zip(p).toMap
+
   test("paper Person example: exactly 4 regions") {
     val p = RegionPartition.optimalPartition(domain, attrs, Seq(c1, c2))
     assert(p.size == 4, s"expected 4 regions, got ${p.size}")
@@ -31,46 +29,32 @@ class RegionSpec extends AnyFunSuite with PropSupport {
 
   test("paper Person example: region labels match Figure 3b") {
     val p = RegionPartition.optimalPartition(domain, attrs, Seq(c1, c2))
-    val labels = p.map { b =>
-      val rep = b.representative(attrs)
+    val labels = p.map { r =>
+      val rep = at(r)
       (c1.eval(rep), c2.eval(rep))
     }.toSet
     assert(labels == Set((true, false), (true, true), (false, true), (false, false)))
   }
 
-  test("valid partition is homogeneous within every block") {
-    val subCs = Seq(c1, c2).flatMap(_.conjuncts)
-    val valid = validPartition(domain, attrs, subCs)
-    valid.foreach { block =>
-      val sigs = block.boxes.map { box =>
-        val rep = attrs.zip(box.loPoint).toMap
-        subCs.map(_.eval(rep))
-      }
-      assert(sigs.distinct.size == 1, "block mixes sub-constraint signatures")
-    }
+  test("paper Person example: the four representatives, in order") {
+    // A lo-corner of each region, ordered by its rendering: c1 only,
+    // neither, both, c2 only.
+    assert(RegionPartition.optimalPartition(domain, attrs, Seq(c1, c2)) ==
+      Vector(Vector(0.0, 0.0), Vector(0.0, 40000.0), Vector(20.0, 20000.0), Vector(20.0, 40000.0)))
   }
 
   test("partition covers the domain exactly (random points land in exactly one region)") {
+    // Lemma 4.3: a region is a label class, so a point lies in the one
+    // region whose representative has the point's label.
     val p = RegionPartition.optimalPartition(domain, attrs, Seq(c1, c2))
+    def label(pt: Map[String, Double]) = (c1.eval(pt), c2.eval(pt))
     val gen = for {
-      a <- Gen.chooseNum(0.0, 99.99); s <- Gen.chooseNum(0.0, 99999.0)
+      a <- Gen.oneOf(Gen.chooseNum(0.0, 99.99), Gen.oneOf(0.0, 20.0, 40.0, 60.0))
+      s <- Gen.oneOf(Gen.chooseNum(0.0, 99999.0), Gen.oneOf(0.0, 20000.0, 40000.0, 60000.0))
     } yield (a, s)
     checkProp(Prop.forAll(gen) { case (a, s) =>
-      val hits = p.count(_.boxes.exists(b => b.ivs(0).contains(a) && b.ivs(1).contains(s)))
-      hits == 1
-    })
-  }
-
-  test("region label is constant across all points of the region (property)") {
-    val p = RegionPartition.optimalPartition(domain, attrs, Seq(c1, c2))
-    val gen = for {
-      a <- Gen.chooseNum(0.0, 99.99); s <- Gen.chooseNum(0.0, 99999.0)
-    } yield (a, s)
-    checkProp(Prop.forAll(gen) { case (a, s) =>
-      val region = p.find(_.boxes.exists(b => b.ivs(0).contains(a) && b.ivs(1).contains(s))).get
-      val rep = region.representative(attrs)
       val pt = Map("age" -> a, "salary" -> s)
-      c1.eval(pt) == c1.eval(rep) && c2.eval(pt) == c2.eval(rep)
+      p.count(r => label(at(r)) == label(pt)) == 1
     })
   }
 
@@ -82,14 +66,11 @@ class RegionSpec extends AnyFunSuite with PropSupport {
       Conjunct.of(Seq(AttrRange("age", Interval(80, 100)))).get))
     val p = RegionPartition.optimalPartition(domain, attrs, Seq(d))
     assert(p.size == 2, s"optimal partition for one DNF has 2 labels, got ${p.size}")
-    val sat = p.filter(b => d.eval(b.representative(attrs)))
-    assert(sat.size == 1)
-    // The satisfied region is an L-shape: needs >= 2 boxes.
-    assert(sat.head.boxes.size >= 2)
+    assert(p.count(r => d.eval(at(r))) == 1)
   }
 
   test("no constraints ⇒ single region") {
-    assert(RegionPartition.optimalPartition(domain, attrs, Nil).size == 1)
+    assert(RegionPartition.optimalPartition(domain, attrs, Nil) == Vector(Vector(0.0, 0.0)))
   }
 
   test("region count is never larger than the grid-cell count (property)") {

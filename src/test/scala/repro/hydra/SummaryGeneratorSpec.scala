@@ -14,7 +14,7 @@ class SummaryGeneratorSpec extends AnyFunSuite {
     Relation("V", "v_pk", Seq(Attr("A", 0, 100), Attr("B", 0, 10), Attr("C", 0, 5)), Nil)))
 
   private def stats(rel: String) = ViewLpStats(rel, 0, 0, 0, 0, exact = true)
-  private def box(ivs: (Double, Double)*): Box = Box(ivs.toVector.map(i => Interval(i._1, i._2)))
+  private def pt(xs: Double*): Vector[Double] = xs.toVector
   /** Key classes on A of the Figure 8 example: [20, 40) and [40, 60). */
   private val aKey = Vector(Conjunct.range("A", 20, 40), Conjunct.range("A", 40, 60))
   private val noKey = Vector.empty[Conjunct]
@@ -22,13 +22,13 @@ class SummaryGeneratorSpec extends AnyFunSuite {
   test("align & merge reproduces the paper's Figure 8 example") {
     // Sub-views (A,B) and (A,C) with matching marginals on A.
     val ab = SubViewSolution(SubView(Vector("A", "B")), noKey, Vector(
-      (box((20, 40), (5, 8)), 20000L),
-      (box((40, 60), (5, 8)), 10000L),
-      (box((40, 60), (8, 10)), 20000L)))
+      (pt(20, 5), 20000L),
+      (pt(40, 5), 10000L),
+      (pt(40, 8), 20000L)))
     val ac = SubViewSolution(SubView(Vector("A", "C")), aKey, Vector(
-      (box((20, 40), (2, 3)), 20000L),
-      (box((40, 60), (2, 3)), 25000L),
-      (box((40, 60), (3, 5)), 5000L)))
+      (pt(20, 2), 20000L),
+      (pt(40, 2), 25000L),
+      (pt(40, 3), 5000L)))
     val vt = SummaryGenerator.viewSolution(schema,
       ViewLpResult("V", 50000, Vector(ab, ac), stats("V")))
     assert(vt.total == 50000)
@@ -44,11 +44,11 @@ class SummaryGeneratorSpec extends AnyFunSuite {
   test("sub-views whose totals differ on a shared cell fail, naming view and cell") {
     // Both sides hold 50 000 tuples, but A=[20,40) has 20 000 vs 25 000.
     val ab = SubViewSolution(SubView(Vector("A", "B")), noKey, Vector(
-      (box((20, 40), (5, 8)), 20000L),
-      (box((40, 60), (5, 8)), 30000L)))
+      (pt(20, 5), 20000L),
+      (pt(40, 5), 30000L)))
     val ac = SubViewSolution(SubView(Vector("A", "C")), aKey, Vector(
-      (box((20, 40), (2, 3)), 25000L),
-      (box((40, 60), (2, 3)), 25000L)))
+      (pt(20, 2), 25000L),
+      (pt(40, 2), 25000L)))
     val e = intercept[IllegalStateException](SummaryGenerator.viewSolution(schema,
       ViewLpResult("V", 50000, Vector(ab, ac), stats("V"))))
     assert(e.getMessage.contains("view V: key class [((A >= 20.0 AND A < 40.0)), NOT ((A >= 40.0 AND A < 60.0))] " +
@@ -56,9 +56,19 @@ class SummaryGeneratorSpec extends AnyFunSuite {
     assert(e.getMessage.contains("but 25000 in sub-view (A, C)"), e.getMessage)
   }
 
+  test("a first sub-view whose counts miss the view total fails, naming the view") {
+    val ab = SubViewSolution(SubView(Vector("A", "B")), noKey, Vector(
+      (pt(20, 5), 20000L),
+      (pt(40, 5), 10000L)))
+    val e = intercept[IllegalStateException](SummaryGenerator.viewSolution(schema,
+      ViewLpResult("V", 50000, Vector(ab), stats("V"))))
+    assert(e.getMessage.contains("view V: key class [] has 50000 tuples in the view total"), e.getMessage)
+    assert(e.getMessage.contains("but 30000 in sub-view (A, B)"), e.getMessage)
+  }
+
   test("instantiation assigns interval left boundaries (§5.2)") {
     val sol = SubViewSolution(SubView(Vector("A", "B")), noKey, Vector(
-      (box((20, 30), (5, 8)), 10000L)))
+      (pt(20, 5), 10000L)))
     val vt = SummaryGenerator.viewSolution(schema,
       ViewLpResult("V", 10000, Vector(sol), stats("V")))
     assert(vt.rows == Vector((Vector(20.0, 5.0, 0.0), 10000L))) // C unconstrained → domain lo
@@ -78,9 +88,9 @@ class SummaryGeneratorSpec extends AnyFunSuite {
 
   test("disjoint sub-views merge positionally with matching totals") {
     val s1 = SubViewSolution(SubView(Vector("A")), noKey, Vector(
-      (box((0, 10)), 30L), (box((10, 20)), 70L)))
+      (pt(0), 30L), (pt(10), 70L)))
     val s2 = SubViewSolution(SubView(Vector("B")), noKey, Vector(
-      (box((0, 5)), 50L), (box((5, 10)), 50L)))
+      (pt(0), 50L), (pt(5), 50L)))
     val vt = SummaryGenerator.viewSolution(schema,
       ViewLpResult("V", 100, Vector(s1, s2), stats("V")))
     assert(vt.total == 100)
@@ -93,15 +103,15 @@ class SummaryGeneratorSpec extends AnyFunSuite {
     Relation("F", "f_pk", Seq(Attr("z", 0, 10)), Seq(ForeignKey("d_fk", "D"))),
   ))
 
-  private def lpFor(rel: String, total: Long, rows: Vector[(Box, Long)], attrs: Vector[String]) =
+  private def lpFor(rel: String, total: Long, rows: Vector[(Vector[Double], Long)], attrs: Vector[String]) =
     ViewLpResult(rel, total, Vector(SubViewSolution(SubView(attrs), noKey, rows)), stats(rel))
 
   test("referential repair adds missing combos with NumTuples=1") {
     // F places tuples at x=3 and x=7; D only has x=3.
     val f = ViewLpResult("F", 100,
       Vector(SubViewSolution(SubView(Vector("x")), noKey, Vector(
-        (box((3, 4)), 60L), (box((7, 8)), 40L)))), stats("F"))
-    val d = lpFor("D", 50, Vector((box((3, 4)), 50L)), Vector("x"))
+        (pt(3), 60L), (pt(7), 40L)))), stats("F"))
+    val d = lpFor("D", 50, Vector((pt(3), 50L)), Vector("x"))
     val res = SummaryGenerator.generate(fkSchema, Seq(d, f))
     assert(res.extraTuples("D") == 1)
     assert(res.viewTables("D").total == 51)
@@ -111,8 +121,8 @@ class SummaryGeneratorSpec extends AnyFunSuite {
   test("FK values use cumulative PK offsets into the target (§5.4)") {
     val f = ViewLpResult("F", 100,
       Vector(SubViewSolution(SubView(Vector("x")), noKey, Vector(
-        (box((0, 1)), 30L), (box((5, 6)), 70L)))), stats("F"))
-    val d = lpFor("D", 50, Vector((box((0, 1)), 20L), (box((5, 6)), 30L)), Vector("x"))
+        (pt(0), 30L), (pt(5), 70L)))), stats("F"))
+    val d = lpFor("D", 50, Vector((pt(0), 20L), (pt(5), 30L)), Vector("x"))
     val res = SummaryGenerator.generate(fkSchema, Seq(d, f))
     val fSum = res.summary.byName("F")
     val fView = res.viewTables("F")
@@ -135,11 +145,11 @@ class SummaryGeneratorSpec extends AnyFunSuite {
     ))
     // A1's view (z,y,w) has combo (1, 2, 9); B2's view (y,w) lacks it; C3 lacks w=9.
     val a = ViewLpResult("A1", 10, Vector(SubViewSolution(
-      SubView(Vector("w", "y", "z")), noKey, Vector((box((9, 10), (2, 3), (1, 2)), 10L)))), stats("A1"))
+      SubView(Vector("w", "y", "z")), noKey, Vector((pt(9, 2, 1), 10L)))), stats("A1"))
     val b = ViewLpResult("B2", 5, Vector(SubViewSolution(
-      SubView(Vector("w", "y")), noKey, Vector((box((0, 1), (2, 3)), 5L)))), stats("B2"))
+      SubView(Vector("w", "y")), noKey, Vector((pt(0, 2), 5L)))), stats("B2"))
     val c = ViewLpResult("C3", 5, Vector(SubViewSolution(
-      SubView(Vector("w")), noKey, Vector((box((0, 1)), 5L)))), stats("C3"))
+      SubView(Vector("w")), noKey, Vector((pt(0), 5L)))), stats("C3"))
     val res = SummaryGenerator.generate(chain, Seq(c, b, a))
     assert(res.extraTuples("B2") == 1, s"got ${res.extraTuples}")
     assert(res.extraTuples("C3") == 1)
@@ -154,8 +164,8 @@ class SummaryGeneratorSpec extends AnyFunSuite {
   test("generate is deterministic") {
     val f = ViewLpResult("F", 100,
       Vector(SubViewSolution(SubView(Vector("x")), noKey, Vector(
-        (box((3, 4)), 60L), (box((7, 8)), 40L)))), stats("F"))
-    val d = lpFor("D", 50, Vector((box((3, 4)), 50L)), Vector("x"))
+        (pt(3), 60L), (pt(7), 40L)))), stats("F"))
+    val d = lpFor("D", 50, Vector((pt(3), 50L)), Vector("x"))
     val r1 = SummaryGenerator.generate(fkSchema, Seq(d, f))
     val r2 = SummaryGenerator.generate(fkSchema, Seq(d, f))
     assert(r1.summary == r2.summary)

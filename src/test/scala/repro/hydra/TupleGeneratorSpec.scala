@@ -265,6 +265,21 @@ class TupleGeneratorSpec extends SparkSpec {
     assert(e.getMessage.contains("relation T"), e.getMessage)
   }
 
+  test("a reversed or non-numeric PK window fails, naming the relation and the option") {
+    val reversed = intercept[IllegalArgumentException] {
+      TupleGenerator.dataFrame(spark, summaryPath, "T", startPk = 20, endPk = 10).count()
+    }
+    assert(reversed.getMessage.contains("relation T") && reversed.getMessage.contains("startPk"),
+      reversed.getMessage)
+    for (opt <- Seq("startPk", "endPk")) {
+      val e = intercept[IllegalArgumentException] {
+        spark.read.format(classOf[SummarySource].getName).option("relation", "T")
+          .option(opt, "1e3").load(summaryPath).count()
+      }
+      assert(e.getMessage.contains("relation T") && e.getMessage.contains(s"option $opt = '1e3'"), e.getMessage)
+    }
+  }
+
   test("empty relation generates an empty DataFrame") {
     val empty = DbSummary(Vector(RelationSummary("E", "e_pk", Vector("x"), Vector.empty, Vector.empty)))
     val p = java.nio.file.Files.createTempFile("tg-empty", ".summary").toString

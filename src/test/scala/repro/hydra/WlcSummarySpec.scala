@@ -16,8 +16,8 @@ class WlcSummarySpec extends SparkSpec {
       val x = Array.fill(lp.nVars)(Rational.Zero)
       for ((sol, i) <- res.solutions.zipWithIndex) {
         val count = sol.rows.toMap
-        for ((b, r) <- lp.parts(i).zipWithIndex)
-          x(lp.offsets(i) + r) = Rational(count.getOrElse(b.boxes.head, 0L))
+        for ((pt, r) <- lp.parts(i).zipWithIndex)
+          x(lp.offsets(i) + r) = Rational(count.getOrElse(pt, 0L))
       }
       lp.eqs.foreach { e =>
         val lhs = e.coeffs.foldLeft(Rational.Zero) { case (s, (j, c)) => s + c * x(j) }
