@@ -58,6 +58,27 @@ class RegionSpec extends AnyFunSuite with PropSupport {
     })
   }
 
+  test("region label is constant across all points of the region (property)") {
+    // No constraint boundary falls inside a grid cell, so every point of a
+    // cell, its lo-corner included, must land in the same region.
+    val p = RegionPartition.optimalPartition(domain, attrs, Seq(c1, c2))
+    def region(pt: Map[String, Double]) = p.indexWhere(r => (c1.eval(at(r)), c2.eval(at(r))) == (c1.eval(pt), c2.eval(pt)))
+    val cutsA = Vector(0.0, 20.0, 40.0, 60.0, 100.0)
+    val cutsS = Vector(0.0, 20000.0, 40000.0, 60000.0, 100000.0)
+    def inCell(i: Int, j: Int, ta: Double, ts: Double) = Map(
+      "age" -> (cutsA(i) + ta * (cutsA(i + 1) - cutsA(i))),
+      "salary" -> (cutsS(j) + ts * (cutsS(j + 1) - cutsS(j))))
+    val t = Gen.chooseNum(0.0, 0.999)
+    val gen = for {
+      i <- Gen.chooseNum(0, 3); j <- Gen.chooseNum(0, 3)
+      ta1 <- t; ts1 <- t; ta2 <- t; ts2 <- t
+    } yield (i, j, ta1, ts1, ta2, ts2)
+    checkProp(Prop.forAll(gen) { case (i, j, ta1, ts1, ta2, ts2) =>
+      val r = region(inCell(i, j, ta1, ts1))
+      r >= 0 && region(inCell(i, j, ta2, ts2)) == r && region(inCell(i, j, 0, 0)) == r
+    })
+  }
+
   test("a DNF across two dimensions produces the optimal 3-region split") {
     // (a<20 ∧ b>=50) ∨ (a>=80): classes = {in via conj1, in via conj2, out}…
     // points satisfying the DNF through different conjuncts share a label.
