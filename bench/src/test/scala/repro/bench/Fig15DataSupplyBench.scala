@@ -91,7 +91,7 @@ class ExabyteScaleBench extends AnyFunSuite {
     val start = n / 2
     val (cnt, sliceMs) = BenchEnv.time {
       TupleGenerator.dataFrame(BenchEnv.spark, p, "store_sales",
-        startPk = start, endPk = start + 1000000).count()
+        startPk = Some(start), endPk = Some(start + 1000000)).count()
     }
     println(s"slice of 1e6 tuples from the middle of ~${n} rows generated in $sliceMs ms")
     assert(cnt == 1000000L)

@@ -22,8 +22,7 @@ final case class Attr(name: String, lo: Double, hi: Double, categorical: Boolean
 final case class ForeignKey(column: String, target: String)
 
 /** A relation: surrogate PK (`pkCol`), non-key attrs, and FKs to other
-  * relations. `baseRows` is the client-side cardinality at scale factor 1;
-  * actual instance sizes come from the generated client DB / CCs.
+  * relations. Its instance sizes come from the generated client DB / CCs.
   */
 final case class Relation(
     name: String,

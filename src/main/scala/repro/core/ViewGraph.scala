@@ -8,17 +8,26 @@ package repro.core
   * sub-views are its maximal cliques, ordered by a clique-tree traversal so
   * that the running-intersection property holds — exactly the separator
   * condition required by the paper's greedy sub-view ordering (§5.1.1).
+  * The sub-views carry that tree: §4's consistency constraints and §5.1's
+  * align & merge both work one tree edge at a time.
   */
 object ViewGraph {
 
-  /** A sub-view: an ordered list of attribute names (a maximal clique). */
-  final case class SubView(attrs: Vector[String]) {
+  /** A sub-view: an ordered list of attribute names (a maximal clique) and
+    * its clique-tree edge. `sep` is the attributes it shares with the
+    * sub-views before it; `parent` is the first earlier sub-view holding
+    * all of `sep` (-1 for the first sub-view). `key` is the CC conjuncts
+    * restricted to the separator-family sets inside `sep` ([[restrictions]]):
+    * a key class is their truth vector at a point.
+    */
+  final case class SubView(attrs: Vector[String], sep: Set[String], parent: Int, key: Vector[Conjunct]) {
     def attrSet: Set[String] = attrs.toSet
   }
 
-  /** Decompose a view with constraints `ccs` into RIP-ordered sub-views.
-    * Attributes not referenced by any CC are omitted (they are
-    * unconstrained and get constant values at instantiation time).
+  /** Decompose a view with constraints `ccs` into RIP-ordered sub-views,
+    * keyed by the CCs' conjuncts. Attributes not referenced by any CC are
+    * omitted (they are unconstrained and get constant values at
+    * instantiation time).
     */
   def subViews(ccs: Seq[CC]): Vector[SubView] = {
     val cliquesIn = ccs.map(_.pred.attrs).filter(_.nonEmpty)
@@ -83,6 +92,40 @@ object ViewGraph {
       order += next._1
       left.remove(next._2)
     }
-    order.map(c => SubView(c.toVector.sorted.map(nodes))).toVector
+    // A maximum-weight spanning tree of the clique graph is a clique tree,
+    // so every separator lies in one earlier sub-view.
+    val attrs = order.map(_.toVector.sorted.map(nodes)).toVector
+    val tree = attrs.indices.map { i =>
+      val sep = attrs(i).toSet.intersect(attrs.take(i).flatten.toSet)
+      val parent = attrs.take(i).indexWhere(a => sep.subsetOf(a.toSet))
+      if (i > 0 && parent < 0)
+        throw new IllegalStateException(s"view ${ccs.head.relation}: no sub-view before " +
+          s"(${attrs(i).mkString(", ")}) holds its separator (${sep.toVector.sorted.mkString(", ")})")
+      SubView(attrs(i), sep, parent, Vector.empty)
+    }.toVector
+    keyed(tree, ccs.flatMap(_.pred.conjuncts).distinct)
+  }
+
+  /** Every non-empty separator of `subs` and every non-empty intersection
+    * of separators, in a fixed order.
+    */
+  def separatorFamily(subs: Vector[SubView]): Vector[Set[String]] =
+    subs.map(_.sep).filter(_.nonEmpty).foldLeft(Set.empty[Set[String]]) { (f, sep) =>
+      f ++ f.map(_.intersect(sep)).filter(_.nonEmpty) + sep
+    }.toVector.sortBy(_.toVector.sorted.mkString(","))
+
+  /** `conjuncts` restricted to each set of `family` inside `within`,
+    * without duplicates and without the restrictions that are always true.
+    */
+  def restrictions(conjuncts: Seq[Conjunct], family: Vector[Set[String]], within: Set[String]): Vector[Conjunct] =
+    (for (u <- family if u.subsetOf(within); c <- conjuncts;
+          r = Conjunct(c.ranges.filter(x => u(x.attr))) if r.ranges.nonEmpty) yield r).distinct
+
+  /** `subs` with each key made of `conjuncts` instead (DataSynth keys by
+    * its grid intervals, so its consistency holds cell by cell).
+    */
+  def keyed(subs: Vector[SubView], conjuncts: Seq[Conjunct]): Vector[SubView] = {
+    val family = separatorFamily(subs)
+    subs.map(s => s.copy(key = restrictions(conjuncts, family, s.sep)))
   }
 }

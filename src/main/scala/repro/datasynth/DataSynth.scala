@@ -9,7 +9,7 @@ import scala.collection.mutable
 /** Reimplementation of the DataSynth baseline (Arasu et al., SIGMOD'11) as
   * described in the paper (§3.2, §5, §8): grid-partitioned LP, then
   * per-tuple *probabilistic sampling* — Prob(first sub-view) followed by
-  * conditional sampling of each later sub-view given the shared attributes —
+  * conditional sampling of each later sub-view given its separator cell —
   * then referential-integrity repair over the fully *instantiated* views.
   *
   * The contrasts Hydra's evaluation measures all live here: grid LPs are
@@ -55,7 +55,7 @@ object DataSynth {
       GridPartition.intervals(schema, nonTrue, a).map(iv => Conjunct.range(a, iv.lo, iv.hi))
     }
     val corners = cells.map(_.map(_.map(_.lo)))
-    val lp = LPFormulator.build(schema, relation, ccs, total, subs, corners, Some(cellKeys))
+    val lp = LPFormulator.build(schema, relation, ccs, total, ViewGraph.keyed(subs, cellKeys), corners)
     val masses = LPFormulator.solveFractional(lp).map(
       cells.zip(_).map { case (cs, ms) => cs.zip(ms.map(_.toDouble)) })
     ViewGrid(relation, total, subs, gridVars,
@@ -92,14 +92,15 @@ object DataSynth {
     require(grids.forall(_.solvable), "cannot instantiate: a grid LP was unsolvable")
     val rnd = new java.util.Random(seed)
 
-    // Global per-attribute boundary registry for cell-granularity matching.
+    // Global per-attribute boundary registry: RI repair matches FKs at cell
+    // granularity across views.
     val gridRels = grids.map(_.relation).toSet
     val gridCcs = ccs.filter(c => gridRels(c.relation) && !c.pred.isTrue)
     val attrBounds: Map[String, Vector[Double]] = schema.attrByName.map { case (a, _) =>
       a -> GridPartition.boundaries(schema, gridCcs.filter(_.pred.attrs.contains(a)), a)
     }
-    def cellIdx(a: String, v: Double): Int = {
-      val bs = attrBounds(a)
+    // Index of the cell of boundaries `bs` that holds `v`.
+    def cellIdx(bs: Vector[Double], v: Double): Int = {
       var lo = 0; var hi = bs.size - 2
       while (lo < hi) {
         val mid = (lo + hi + 1) >>> 1
@@ -118,44 +119,35 @@ object DataSynth {
       val tuples = mutable.ArrayBuffer.fill(n)(
         attrs.map(a => schema.attrByName(a).lo).toArray)
       val attrPos = attrs.zipWithIndex.toMap
-      var assigned = Set.empty[String]
+      val viewCcs = gridCcs.filter(_.relation == g.relation)
       for ((sub, masses) <- g.subs.zip(g.masses.get)) {
-        val shared = sub.attrs.filter(assigned.contains)
-        val newAttrs = sub.attrs.filterNot(assigned.contains)
+        val newAttrs = sub.attrs.filterNot(sub.sep)
         def fill(t: Array[Double], cell: Vector[Interval], dims: Seq[String]): Unit =
           dims.foreach { a =>
             val iv = cell(sub.attrs.indexOf(a))
             val hi = if (iv.hi.isPosInfinity) iv.lo + 1 else iv.hi
             t(attrPos(a)) = iv.lo + rnd.nextDouble() * (hi - iv.lo)
           }
-        if (shared.isEmpty) {
-          val cum = masses.scanLeft(0.0)(_ + _._2).tail
-          val totalMass = math.max(cum.lastOption.getOrElse(0.0), 1e-12)
-          tuples.foreach { t =>
-            val u = rnd.nextDouble() * totalMass
-            val c = cum.indexWhere(_ >= u) match { case -1 => masses.size - 1; case i => i }
-            fill(t, masses(c)._1, sub.attrs)
-          }
-        } else {
-          val sharedDims = shared.map(a => sub.attrs.indexOf(a))
-          val groups = masses.groupBy { case (cell, _) => sharedDims.map(cell(_).lo).toVector }
-          val cums = groups.map { case (k, ms) =>
-            k -> (ms, ms.scanLeft(0.0)(_ + _._2).tail)
-          }
-          tuples.foreach { t =>
-            val sig = shared.map { a =>
-              val bs = attrBounds(a)
-              bs(cellIdx(a, t(attrPos(a)))) // cell lo of the tuple's value
-            }.toVector
-            cums.get(sig).orElse(cums.headOption.map(_._2)).foreach { case (ms, cum) =>
-              val tm = math.max(cum.lastOption.getOrElse(0.0), 1e-12)
-              val u = rnd.nextDouble() * tm
-              val c = cum.indexWhere(_ >= u) match { case -1 => ms.size - 1; case i => i }
-              fill(t, ms(c)._1, newAttrs)
-            }
-          }
+        // Sample each tuple's new attributes given its separator cell, found
+        // on the view's own grid (the one `solveView` cut the cells from); an
+        // empty separator is one group, the sub-view's whole distribution.
+        val sepAttrs = sub.attrs.filter(sub.sep)
+        val sepDims = sepAttrs.map(sub.attrs.indexOf)
+        val sepBounds = sepAttrs.map(GridPartition.boundaries(schema, viewCcs, _))
+        val groups = masses.groupBy { case (cell, _) => sepDims.map(cell(_).lo) }
+        val cums = groups.map { case (k, ms) =>
+          k -> (ms, ms.scanLeft(0.0)(_ + _._2).tail)
         }
-        assigned ++= sub.attrs
+        tuples.foreach { t =>
+          val sig = sepAttrs.zip(sepBounds).map { case (a, bs) => bs(cellIdx(bs, t(attrPos(a)))) }
+          val (ms, cum) = cums.getOrElse(sig, throw new IllegalStateException(
+            s"DataSynth view ${g.relation}: sub-view (${sub.attrs.mkString(", ")}) has no cell at separator " +
+            sepAttrs.zip(sig).map { case (a, lo) => s"$a >= $lo" }.mkString("(", ", ", ")")))
+          val tm = math.max(cum.lastOption.getOrElse(0.0), 1e-12)
+          val u = rnd.nextDouble() * tm
+          val c = cum.indexWhere(_ >= u) match { case -1 => ms.size - 1; case i => i }
+          fill(t, ms(c)._1, newAttrs)
+        }
       }
       viewTuples(g.relation) = tuples
     }
@@ -166,7 +158,7 @@ object DataSynth {
     val extras = mutable.Map[String, Long]().withDefaultValue(0L)
     val fkVals = mutable.Map[String, Vector[Array[Long]]]()
     def sigOf(vals: Array[Double], attrs: Seq[String], idx: Seq[Int]): Vector[Int] =
-      idx.zip(attrs).map { case (i, a) => cellIdx(a, vals(i)) }.toVector
+      idx.zip(attrs).map { case (i, a) => cellIdx(attrBounds(a), vals(i)) }.toVector
 
     for (rel <- schema.dependentsFirst if viewTuples.contains(rel)) {
       val r = schema.byName(rel)

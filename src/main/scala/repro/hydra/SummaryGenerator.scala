@@ -32,8 +32,9 @@ object SummaryGenerator {
   }
 
   /** One align-and-merge step (Algorithm 3 + §5.1.2–5.1.3): group both
-    * sides by the sub-view's key class (the truth vector of `s.key` at a
-    * row's point), then pair counts positionally within each class. An
+    * sides by the sub-view's key class (the truth vector of `s.sub.key` at
+    * a row's point), then pair counts positionally within each class; the
+    * sub-view adds the attributes outside its separator. An
     * exact LP solution makes the per-class totals match by the consistency
     * constraints; a class whose totals differ fails.
     */
@@ -44,9 +45,9 @@ object SummaryGenerator {
       s: SubViewSolution,
   ): (Vector[String], Vector[(Vector[Double], Long)]) = {
     val sAttrs = s.sub.attrs
-    val sNewIdx = sAttrs.indices.filterNot(i => curAttrs.contains(sAttrs(i))).toVector
+    val sNewIdx = sAttrs.indices.filterNot(i => s.sub.sep(sAttrs(i))).toVector
     def keyed(attrs: Vector[String], rows: Vector[(Vector[Double], Long)]) =
-      rows.map(r => s.key.map(_.eval(attrs.zip(r._1).toMap)) -> r)
+      rows.map(r => s.sub.key.map(_.eval(attrs.zip(r._1).toMap)) -> r)
     val (ka, kb) = (keyed(curAttrs, curRows), keyed(sAttrs, s.rows))
     val (ga, gb) = (ka.groupMap(_._1)(_._2), kb.groupMap(_._1)(_._2))
     val out = Vector.newBuilder[(Vector[Double], Long)]
@@ -56,7 +57,7 @@ object SummaryGenerator {
       val bs = gb.getOrElse(k, Vector.empty)
       val (totalA, totalB) = (as.map(_._2).sum, bs.map(_._2).sum)
       if (totalA != totalB) {
-        val cls = s.key.zip(k).map { case (c, t) => if (t) c.toSql else s"NOT ${c.toSql}" }
+        val cls = s.sub.key.zip(k).map { case (c, t) => if (t) c.toSql else s"NOT ${c.toSql}" }
         val side = if (curAttrs.isEmpty) "the view total" else curAttrs.mkString("(", ", ", ")")
         throw new IllegalStateException(
           s"align & merge of view $relation: key class ${cls.mkString("[", ", ", "]")} has $totalA tuples " +

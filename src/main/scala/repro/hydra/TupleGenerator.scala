@@ -86,13 +86,15 @@ private[hydra] class SummaryScan(tableSchema: StructType, options: Map[String, S
     extends Scan with Batch with SupportsReportStatistics {
   private val rel = SummarySource.loadRelation(options)
   private val opts = options.map { case (k, v) => k.toLowerCase -> v }
-  private def pkOption(name: String, default: Long): Long =
-    opts.get(name.toLowerCase).fold(default)(v => v.toLongOption.getOrElse(throw new IllegalArgumentException(
+  private def pkOption(name: String, default: Long): Long = {
+    val pk = opts.get(name.toLowerCase).fold(default)(v => v.toLongOption.getOrElse(throw new IllegalArgumentException(
       s"relation ${rel.relation}: option $name = '$v' is not a whole number")))
+    require(pk >= 0 && pk <= rel.total,
+      s"relation ${rel.relation}: option $name = $pk is outside 0..${rel.total} (its PKs are 1..${rel.total})")
+    pk
+  }
   private val startPk = pkOption("startPk", 0L)
   private val endPk = pkOption("endPk", rel.total)
-  require(startPk >= 0 && endPk <= rel.total,
-    s"relation ${rel.relation}: PK window ($startPk, $endPk] is outside its PKs 1..${rel.total}")
   require(startPk <= endPk,
     s"relation ${rel.relation}: PK window ($startPk, $endPk] is reversed: option startPk is above endPk")
   private val span = endPk - startPk
@@ -242,19 +244,17 @@ object GeneratedBatchesMetric { val Name = "generatedBatches" }
 /** Convenience entry points around [[SummarySource]]. */
 object TupleGenerator {
 
-  /** Dynamically regenerated relation as a DataFrame (DSv2 scan). A
-    * negative `startPk` or `endPk` leaves that option at its
-    * [[SummarySource]] default.
+  /** Dynamically regenerated relation as a DataFrame (DSv2 scan). An
+    * unset `startPk` or `endPk` leaves that option at its [[SummarySource]]
+    * default.
     */
   def dataFrame(spark: SparkSession, summaryPath: String, relation: String,
-                startPk: Long = -1, endPk: Long = -1): DataFrame = {
-    var r = spark.read
+                startPk: Option[Long] = None, endPk: Option[Long] = None): DataFrame =
+    spark.read
       .format(classOf[SummarySource].getName)
       .option("relation", relation)
-    if (startPk >= 0) r = r.option("startPk", startPk)
-    if (endPk >= 0) r = r.option("endPk", endPk)
-    r.load(summaryPath)
-  }
+      .options((startPk.map("startPk" -> _.toString) ++ endPk.map("endPk" -> _.toString)).toMap)
+      .load(summaryPath)
 
   /** Materialize every relation of a summary as Parquet ("static" mode),
     * without generating a tuple ([[SummaryParquet]]). Each relation is one

@@ -131,13 +131,35 @@ class ViewGraphSpec extends AnyFunSuite {
       val attrs = ('a' to 'j').map(_.toString)
       val ccs = (1 to 8).map { i =>
         val k = 1 + rnd.nextInt(3)
-        cc(i.toLong, rnd.shuffle(attrs).take(k): _*)
+        // CC i holds each of its attributes in [i, i + 1).
+        val ranges = rnd.shuffle(attrs).take(k).map(a => AttrRange(a, Interval(i, i + 1)))
+        CC("v", Dnf.of(Conjunct.of(ranges).get), i.toLong)
       }
       val svs = subViews(ccs)
       assert(hasRip(svs), s"RIP violated on trial $trial")
       ccs.foreach { c =>
         assert(svs.exists(s => c.pred.attrs.subsetOf(s.attrSet)),
           s"trial $trial: CC ${c.pred.attrs} uncovered")
+      }
+      // The clique tree: separators, their intersections, parents and keys.
+      var family = svs.map(_.sep).filter(_.nonEmpty).toSet
+      var grown = true
+      while (grown) {
+        val next = family ++ (for (u <- family; w <- family; x = u.intersect(w) if x.nonEmpty) yield x)
+        grown = next.size > family.size
+        family = next
+      }
+      assert(svs.head.parent == -1 && svs.head.sep.isEmpty && svs.head.key.isEmpty, s"trial $trial: ${svs.head}")
+      for (i <- svs.indices) {
+        val s = svs(i)
+        assert(s.sep == s.attrSet.intersect(svs.take(i).flatMap(_.attrs).toSet), s"trial $trial, sub-view $i: $s")
+        if (i > 0) {
+          assert(s.parent >= 0 && s.parent < i, s"trial $trial, sub-view $i: parent ${s.parent}")
+          assert(s.sep.subsetOf(svs(s.parent).attrSet), s"trial $trial, sub-view $i: parent ${svs(s.parent)}")
+        }
+        val want = for (u <- family if u.subsetOf(s.sep); c <- ccs; cj <- c.pred.conjuncts;
+                        r = cj.ranges.filter(x => u(x.attr)) if r.nonEmpty) yield Conjunct(r)
+        assert(s.key.distinct == s.key && s.key.toSet == want, s"trial $trial, sub-view $i: ${s.key} vs $want")
       }
     }
   }

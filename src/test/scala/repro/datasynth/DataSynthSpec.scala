@@ -164,6 +164,42 @@ class DataSynthSpec extends AnyFunSuite {
     }
   }
 
+  // F's view has sub-views (x, y) then (x, z), separator x, cut at 50 on x.
+  // (x, z) has mass only in x < 50 ∧ z < 5 and x ≥ 50 ∧ z ≥ 5. D cuts x at
+  // 20 and 70, inside both of F's x cells.
+  private val twoRel = SchemaDef(Seq(
+    Relation("D", "d_pk", Seq(Attr("x", 0, 100)), Nil),
+    Relation("F", "f_pk", Seq(Attr("y", 0, 10), Attr("z", 0, 10)), Seq(ForeignKey("d_fk", "D"))),
+  ))
+  private def box(ranges: (String, Double, Double)*) =
+    Dnf.of(Conjunct.of(ranges.map { case (a, lo, hi) => AttrRange(a, Interval(lo, hi)) }).get)
+  private val twoCcs = Seq(
+    CC("F", Dnf.True, 100),
+    CC("F", box(("x", 0, 50), ("y", 0, 5)), 40),
+    CC("F", box(("x", 0, 50), ("z", 0, 5)), 40),
+    CC("F", box(("x", 50, 100), ("z", 5, 10)), 60),
+    CC("D", Dnf.True, 10), CC("D", between("x", 20, 70), 5))
+  private lazy val twoGrids = DataSynth.solveViews(twoRel, twoCcs)
+
+  test("each sub-view's tuples are sampled in cells the LP gave mass, even where the referenced view cuts finer") {
+    assert(twoGrids.find(_.relation == "F").get.subs.map(_.sep) == Vector(Set.empty, Set("x")))
+    val r = DataSynth.instantiate(twoRel, twoGrids, twoCcs, seed = 5)
+    for (g <- twoGrids; (sub, masses) <- g.subs.zip(g.masses.get)) {
+      val idx = sub.attrs.map(r.viewAttrs(g.relation).indexOf)
+      r.viewTuples(g.relation).take(g.total.toInt).foreach { t =>
+        val cell = masses.find(_._1.zip(idx).forall { case (iv, i) => iv.contains(t(i)) }).get
+        assert(cell._2 > 0, s"${g.relation} tuple ${t.mkString(",")} lies in an empty cell of ${sub.attrs}")
+      }
+    }
+  }
+
+  test("a separator cell missing from the view's grid fails, naming the view") {
+    // The grids were cut without F's x = 30: a tuple at x ∈ [30, 50) finds no cell.
+    val cut = twoCcs :+ CC("F", between("x", 30, 100), 50)
+    val e = intercept[IllegalStateException](DataSynth.instantiate(twoRel, twoGrids, cut, seed = 5))
+    assert(e.getMessage.contains("DataSynth view F") && e.getMessage.contains("(x >= 30.0)"), e.getMessage)
+  }
+
   test("instantiation is deterministic in the seed") {
     val res2 = DataSynth.instantiate(schema, grids, ccs, seed = 99)
     assert(res2.viewTuples("S").map(_.toVector) == res.viewTuples("S").map(_.toVector))

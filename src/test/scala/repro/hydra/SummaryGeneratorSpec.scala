@@ -13,19 +13,23 @@ class SummaryGeneratorSpec extends AnyFunSuite {
   private val schema = SchemaDef(Seq(
     Relation("V", "v_pk", Seq(Attr("A", 0, 100), Attr("B", 0, 10), Attr("C", 0, 5)), Nil)))
 
-  private def stats(rel: String) = ViewLpStats(rel, 0, 0, 0, 0, exact = true)
+  private def stats(rel: String) = ViewLpStats(rel, 0, exact = true)
   private def pt(xs: Double*): Vector[Double] = xs.toVector
   /** Key classes on A of the Figure 8 example: [20, 40) and [40, 60). */
   private val aKey = Vector(Conjunct.range("A", 20, 40), Conjunct.range("A", 40, 60))
   private val noKey = Vector.empty[Conjunct]
+  /** A first sub-view: no separator, no parent, no key. */
+  private def first(attrs: String*) = SubView(attrs.toVector, Set.empty, -1, noKey)
+  /** (A, C) under (A, B) of the Figure 8 example, keyed on A. */
+  private val acUnderAb = SubView(Vector("A", "C"), Set("A"), 0, aKey)
 
   test("align & merge reproduces the paper's Figure 8 example") {
     // Sub-views (A,B) and (A,C) with matching marginals on A.
-    val ab = SubViewSolution(SubView(Vector("A", "B")), noKey, Vector(
+    val ab = SubViewSolution(first("A", "B"), Vector(
       (pt(20, 5), 20000L),
       (pt(40, 5), 10000L),
       (pt(40, 8), 20000L)))
-    val ac = SubViewSolution(SubView(Vector("A", "C")), aKey, Vector(
+    val ac = SubViewSolution(acUnderAb, Vector(
       (pt(20, 2), 20000L),
       (pt(40, 2), 25000L),
       (pt(40, 3), 5000L)))
@@ -43,10 +47,10 @@ class SummaryGeneratorSpec extends AnyFunSuite {
 
   test("sub-views whose totals differ on a shared cell fail, naming view and cell") {
     // Both sides hold 50 000 tuples, but A=[20,40) has 20 000 vs 25 000.
-    val ab = SubViewSolution(SubView(Vector("A", "B")), noKey, Vector(
+    val ab = SubViewSolution(first("A", "B"), Vector(
       (pt(20, 5), 20000L),
       (pt(40, 5), 30000L)))
-    val ac = SubViewSolution(SubView(Vector("A", "C")), aKey, Vector(
+    val ac = SubViewSolution(acUnderAb, Vector(
       (pt(20, 2), 25000L),
       (pt(40, 2), 25000L)))
     val e = intercept[IllegalStateException](SummaryGenerator.viewSolution(schema,
@@ -57,7 +61,7 @@ class SummaryGeneratorSpec extends AnyFunSuite {
   }
 
   test("a first sub-view whose counts miss the view total fails, naming the view") {
-    val ab = SubViewSolution(SubView(Vector("A", "B")), noKey, Vector(
+    val ab = SubViewSolution(first("A", "B"), Vector(
       (pt(20, 5), 20000L),
       (pt(40, 5), 10000L)))
     val e = intercept[IllegalStateException](SummaryGenerator.viewSolution(schema,
@@ -67,7 +71,7 @@ class SummaryGeneratorSpec extends AnyFunSuite {
   }
 
   test("instantiation assigns interval left boundaries (§5.2)") {
-    val sol = SubViewSolution(SubView(Vector("A", "B")), noKey, Vector(
+    val sol = SubViewSolution(first("A", "B"), Vector(
       (pt(20, 5), 10000L)))
     val vt = SummaryGenerator.viewSolution(schema,
       ViewLpResult("V", 10000, Vector(sol), stats("V")))
@@ -87,9 +91,9 @@ class SummaryGeneratorSpec extends AnyFunSuite {
   }
 
   test("disjoint sub-views merge positionally with matching totals") {
-    val s1 = SubViewSolution(SubView(Vector("A")), noKey, Vector(
+    val s1 = SubViewSolution(first("A"), Vector(
       (pt(0), 30L), (pt(10), 70L)))
-    val s2 = SubViewSolution(SubView(Vector("B")), noKey, Vector(
+    val s2 = SubViewSolution(SubView(Vector("B"), Set.empty, 0, noKey), Vector(
       (pt(0), 50L), (pt(5), 50L)))
     val vt = SummaryGenerator.viewSolution(schema,
       ViewLpResult("V", 100, Vector(s1, s2), stats("V")))
@@ -104,12 +108,12 @@ class SummaryGeneratorSpec extends AnyFunSuite {
   ))
 
   private def lpFor(rel: String, total: Long, rows: Vector[(Vector[Double], Long)], attrs: Vector[String]) =
-    ViewLpResult(rel, total, Vector(SubViewSolution(SubView(attrs), noKey, rows)), stats(rel))
+    ViewLpResult(rel, total, Vector(SubViewSolution(first(attrs: _*), rows)), stats(rel))
 
   test("referential repair adds missing combos with NumTuples=1") {
     // F places tuples at x=3 and x=7; D only has x=3.
     val f = ViewLpResult("F", 100,
-      Vector(SubViewSolution(SubView(Vector("x")), noKey, Vector(
+      Vector(SubViewSolution(first("x"), Vector(
         (pt(3), 60L), (pt(7), 40L)))), stats("F"))
     val d = lpFor("D", 50, Vector((pt(3), 50L)), Vector("x"))
     val res = SummaryGenerator.generate(fkSchema, Seq(d, f))
@@ -120,7 +124,7 @@ class SummaryGeneratorSpec extends AnyFunSuite {
 
   test("FK values use cumulative PK offsets into the target (§5.4)") {
     val f = ViewLpResult("F", 100,
-      Vector(SubViewSolution(SubView(Vector("x")), noKey, Vector(
+      Vector(SubViewSolution(first("x"), Vector(
         (pt(0), 30L), (pt(5), 70L)))), stats("F"))
     val d = lpFor("D", 50, Vector((pt(0), 20L), (pt(5), 30L)), Vector("x"))
     val res = SummaryGenerator.generate(fkSchema, Seq(d, f))
@@ -144,12 +148,9 @@ class SummaryGeneratorSpec extends AnyFunSuite {
       Relation("A1", "a1_pk", Seq(Attr("z", 0, 10)), Seq(ForeignKey("b_fk", "B2"))),
     ))
     // A1's view (z,y,w) has combo (1, 2, 9); B2's view (y,w) lacks it; C3 lacks w=9.
-    val a = ViewLpResult("A1", 10, Vector(SubViewSolution(
-      SubView(Vector("w", "y", "z")), noKey, Vector((pt(9, 2, 1), 10L)))), stats("A1"))
-    val b = ViewLpResult("B2", 5, Vector(SubViewSolution(
-      SubView(Vector("w", "y")), noKey, Vector((pt(0, 2), 5L)))), stats("B2"))
-    val c = ViewLpResult("C3", 5, Vector(SubViewSolution(
-      SubView(Vector("w")), noKey, Vector((pt(0), 5L)))), stats("C3"))
+    val a = ViewLpResult("A1", 10, Vector(SubViewSolution(first("w", "y", "z"), Vector((pt(9, 2, 1), 10L)))), stats("A1"))
+    val b = ViewLpResult("B2", 5, Vector(SubViewSolution(first("w", "y"), Vector((pt(0, 2), 5L)))), stats("B2"))
+    val c = ViewLpResult("C3", 5, Vector(SubViewSolution(first("w"), Vector((pt(0), 5L)))), stats("C3"))
     val res = SummaryGenerator.generate(chain, Seq(c, b, a))
     assert(res.extraTuples("B2") == 1, s"got ${res.extraTuples}")
     assert(res.extraTuples("C3") == 1)
@@ -163,7 +164,7 @@ class SummaryGeneratorSpec extends AnyFunSuite {
 
   test("generate is deterministic") {
     val f = ViewLpResult("F", 100,
-      Vector(SubViewSolution(SubView(Vector("x")), noKey, Vector(
+      Vector(SubViewSolution(first("x"), Vector(
         (pt(3), 60L), (pt(7), 40L)))), stats("F"))
     val d = lpFor("D", 50, Vector((pt(3), 50L)), Vector("x"))
     val r1 = SummaryGenerator.generate(fkSchema, Seq(d, f))

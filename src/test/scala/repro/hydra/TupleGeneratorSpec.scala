@@ -113,7 +113,7 @@ class TupleGeneratorSpec extends SparkSpec {
   }
 
   test("startPk/endPk slice generates exactly that PK window") {
-    val df = TupleGenerator.dataFrame(spark, summaryPath, "R", startPk = 100, endPk = 250)
+    val df = TupleGenerator.dataFrame(spark, summaryPath, "R", startPk = Some(100), endPk = Some(250))
     assert(df.count() == 150)
     val mm = df.agg(min("R_pk"), max("R_pk")).head()
     assert(mm.getLong(0) == 101L && mm.getLong(1) == 250L)
@@ -132,7 +132,7 @@ class TupleGeneratorSpec extends SparkSpec {
     def stats(df: org.apache.spark.sql.DataFrame) = df.queryExecution.optimizedPlan.stats
     assert(stats(TupleGenerator.dataFrame(spark, summaryPath, "R")).rowCount ==
       Some(BigInt(result.summary.byName("R").total)))
-    assert(stats(TupleGenerator.dataFrame(spark, summaryPath, "R", startPk = 100, endPk = 250))
+    assert(stats(TupleGenerator.dataFrame(spark, summaryPath, "R", startPk = Some(100), endPk = Some(250)))
       .rowCount == Some(BigInt(150)))
     val huge = DbSummary(Vector(RelationSummary("H", "h_pk", Vector("x"), Vector.empty,
       Vector((Vector(0.0), Vector.empty, Long.MaxValue / 4)))))
@@ -249,7 +249,7 @@ class TupleGeneratorSpec extends SparkSpec {
 
   test("the scan's SQL metrics count the PK window's generated rows and batches") {
     val rel = result.summary.byName("R")
-    val df = TupleGenerator.dataFrame(spark, summaryPath, "R", startPk = 100, endPk = 5250)
+    val df = TupleGenerator.dataFrame(spark, summaryPath, "R", startPk = Some(100), endPk = Some(5250))
     assert(df.collect().length == 5150)
     val scans = df.queryExecution.executedPlan.collect { case b: BatchScanExec => b }
     assert(scans.size == 1 && scans.head.supportsColumnar, df.queryExecution.executedPlan.treeString)
@@ -260,17 +260,22 @@ class TupleGeneratorSpec extends SparkSpec {
   test("a PK window outside the relation fails, naming it") {
     val n = result.summary.byName("T").total
     val e = intercept[IllegalArgumentException] {
-      TupleGenerator.dataFrame(spark, summaryPath, "T", startPk = 10, endPk = n + 1).count()
+      TupleGenerator.dataFrame(spark, summaryPath, "T", startPk = Some(10), endPk = Some(n + 1)).count()
     }
     assert(e.getMessage.contains("relation T"), e.getMessage)
   }
 
   test("a reversed or non-numeric PK window fails, naming the relation and the option") {
     val reversed = intercept[IllegalArgumentException] {
-      TupleGenerator.dataFrame(spark, summaryPath, "T", startPk = 20, endPk = 10).count()
+      TupleGenerator.dataFrame(spark, summaryPath, "T", startPk = Some(20), endPk = Some(10)).count()
     }
     assert(reversed.getMessage.contains("relation T") && reversed.getMessage.contains("startPk"),
       reversed.getMessage)
+    val negative = intercept[IllegalArgumentException] {
+      TupleGenerator.dataFrame(spark, summaryPath, "T", startPk = Some(-5), endPk = Some(10)).count()
+    }
+    assert(negative.getMessage.contains("relation T") && negative.getMessage.contains("option startPk = -5"),
+      negative.getMessage)
     for (opt <- Seq("startPk", "endPk")) {
       val e = intercept[IllegalArgumentException] {
         spark.read.format(classOf[SummarySource].getName).option("relation", "T")
