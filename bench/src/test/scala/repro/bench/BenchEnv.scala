@@ -76,15 +76,15 @@ object BenchEnv {
     }
   }
 
-  /** Signed relative error of a CC whose regenerated count is `got`. */
-  def relErr(cc: CC, got: Long): Double =
-    if (cc.card == 0) { if (got == 0) 0.0 else 1.0 }
-    else (got - cc.card).toDouble / cc.card
-
   /** The middle value of `xs` (the upper one of the two middles if `xs`
     * has an even size).
     */
   def median[T: Ordering](xs: Seq[T]): T = xs.sorted.apply(xs.size / 2)
+
+  /** The `q`-quantile of `xs` (`0 <= q <= 1`): the value at index
+    * ⌊q·(n − 1)⌋ of `xs` sorted.
+    */
+  def percentile[T: Ordering](xs: Seq[T], q: Double): T = xs.sorted.apply((q * (xs.size - 1)).toInt)
 
   def time[A](body: => A): (A, Long) = {
     val t0 = System.nanoTime()

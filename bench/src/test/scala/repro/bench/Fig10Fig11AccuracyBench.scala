@@ -24,8 +24,8 @@ object WlsPipelines {
 class Fig10VolumetricSimilarityBench extends AnyFunSuite {
   test("Figure 10: quality of volumetric similarity (WLs)") {
     val ccs = WlsPipelines.ccs
-    val hydraErrs = ccs.map(cc => BenchEnv.relErr(cc, WlsPipelines.hydra.ccCount(cc)))
-    val dsErrs = ccs.map(cc => BenchEnv.relErr(cc, DataSynth.ccCount(WlsPipelines.dataSynth, cc)))
+    val hydraErrs = WlsPipelines.hydra.fidelity(ccs).map(_.relErr)
+    val dsErrs = WlsPipelines.dataSynth.fidelity(ccs).map(_.relErr)
 
     val cuts = Seq(0.0, 0.001, 0.01, 0.05, 0.1, 0.2, 0.4, 0.6, 1.0)
     def cdf(errs: Seq[Double]) =
@@ -42,10 +42,7 @@ class Fig10VolumetricSimilarityBench extends AnyFunSuite {
     // at a 100 GB client, RI extras are negligible relative to CC counts;
     // at SF 0.01 a one-tuple addition can be a large *relative* error on a
     // tiny CC. The orderings the paper reports must still hold.
-    def p(errs: Seq[Double], q: Double): Double = {
-      val s = errs.map(math.abs).sorted
-      s((q * (s.size - 1)).toInt)
-    }
+    def p(errs: Seq[Double], q: Double): Double = BenchEnv.percentile(errs.map(math.abs), q)
     assert(hydraErrs.count(_ == 0.0) >= (0.55 * ccs.size).toInt,
       "Hydra should satisfy most CCs exactly")
     assert(hydraErrs.count(_ == 0.0) >= 2 * dsErrs.count(_ == 0.0),

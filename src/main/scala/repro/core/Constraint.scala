@@ -43,6 +43,50 @@ object CC {
       .orElse(fallbackTotals.get(relation))
       .getOrElse(throw new IllegalArgumentException(
         s"no size known for relation $relation — add a base CC or a fallback total"))
+
+  /** Every relation of `schema`, in its order, with its CCs among `ccs` and
+    * its size ([[relationSize]]): the per-view loop of Hydra and DataSynth.
+    */
+  def byView(schema: SchemaDef, ccs: Seq[CC], fallbackTotals: Map[String, Long]): Seq[(String, Seq[CC], Long)] = {
+    val byRel = ccs.groupBy(_.relation)
+    schema.relations.map { r =>
+      val relCcs = byRel.getOrElse(r.name, Nil)
+      (r.name, relCcs, relationSize(r.name, relCcs, fallbackTotals))
+    }
+  }
+}
+
+/** How a regenerated database meets one CC (§7.1): `achieved` is the CC's
+  * count on it, `riExtras` the tuples referential-integrity repair added to
+  * the CC's relation. The contract is that the count lies in
+  * [card, card + riExtras]: exact, up to positive-only RI extras.
+  */
+final case class CcFidelity(cc: CC, achieved: Long, riExtras: Long) {
+  require(cc.card >= 0 && achieved >= 0 && riExtras >= 0,
+    s"CC on ${cc.relation}: negative count in target ${cc.card}, achieved $achieved or RI extras $riExtras")
+
+  /** `achieved - card`; both are non-negative, so it cannot wrap. */
+  def gap: Long = achieved - cc.card
+
+  def met: Boolean = gap >= 0 && gap <= riExtras
+
+  /** Signed relative error; on a zero target, 0 if the count is 0, else 1. */
+  def relErr: Double =
+    if (cc.card == 0) { if (achieved == 0) 0.0 else 1.0 }
+    else gap.toDouble / cc.card
+
+  /** Why the CC is not met, naming its relation and predicate; None if met. */
+  def failure: Option[String] = Option.when(!met)(
+    s"CC on ${cc.relation} (${cc.pred.toSql}): target ${cc.card}, got $achieved, RI extras $riExtras")
+}
+
+object CcFidelity {
+
+  /** The fidelity of each of `ccs`, in order, given its `count` on the
+    * regenerated database and the RI repair's `extraTuples` per relation.
+    */
+  def report(ccs: Seq[CC], extraTuples: Map[String, Long])(count: CC => Long): Vector[CcFidelity] =
+    ccs.iterator.map(cc => CcFidelity(cc, count(cc), extraTuples.getOrElse(cc.relation, 0L))).toVector
 }
 
 /** A workload query: PK-FK left-deep join of `root` with `joined` (in join

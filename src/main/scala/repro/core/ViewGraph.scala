@@ -18,10 +18,16 @@ object ViewGraph {
     * sub-views before it; `parent` is the first earlier sub-view holding
     * all of `sep` (-1 for the first sub-view). `key` is the CC conjuncts
     * restricted to the separator-family sets inside `sep` ([[restrictions]]):
-    * a key class is their truth vector at a point.
+    * a key class is their truth vector at a point ([[keyClass]]).
     */
   final case class SubView(attrs: Vector[String], sep: Set[String], parent: Int, key: Vector[Conjunct]) {
     def attrSet: Set[String] = attrs.toSet
+
+    /** The key class of `point`, whose coordinates are the values of
+      * `attrs` (which must hold `sep`): the truth vector of `key` there.
+      */
+    def keyClass(attrs: Vector[String], point: Vector[Double]): Vector[Boolean] =
+      key.map(_.ranges.forall(r => r.iv.contains(point(attrs.indexOf(r.attr)))))
   }
 
   /** Decompose a view with constraints `ccs` into RIP-ordered sub-views,

@@ -67,13 +67,8 @@ object DataSynth {
     * the DataSynth twin of `Hydra.buildSummary`'s per-relation loop.
     */
   def solveViews(schema: SchemaDef, ccs: Seq[CC],
-                 fallbackTotals: Map[String, Long] = Map.empty): Seq[ViewGrid] = {
-    val byRel = ccs.groupBy(_.relation)
-    schema.relations.map { r =>
-      val relCcs = byRel.getOrElse(r.name, Nil)
-      solveView(schema, r.name, relCcs, CC.relationSize(r.name, relCcs, fallbackTotals))
-    }
-  }
+                 fallbackTotals: Map[String, Long] = Map.empty): Seq[ViewGrid] =
+    CC.byView(schema, ccs, fallbackTotals).map { case (rel, relCcs, total) => solveView(schema, rel, relCcs, total) }
 
   /** Instantiated database: per-view tuple arrays (over the view's full
     * attribute list), per-relation FK columns, and RI-repair extra counts.
@@ -83,7 +78,20 @@ object DataSynth {
       viewTuples: Map[String, mutable.ArrayBuffer[Array[Double]]],
       fkVals: Map[String, Vector[Array[Long]]],
       extraTuples: Map[String, Long],
-  )
+  ) {
+    /** Cardinality of a CC on the instantiated database (view-tuple count). */
+    def ccCount(cc: CC): Long = {
+      val tuples = viewTuples(cc.relation)
+      val attrs = viewAttrs(cc.relation)
+      val compiled: Vector[Vector[(Int, Interval)]] = cc.pred.conjuncts.toVector.map(
+        _.ranges.toVector.map(r => (attrs.indexOf(r.attr), r.iv)))
+      if (cc.pred.isTrue) tuples.size.toLong
+      else tuples.count(t => compiled.exists(_.forall { case (i, iv) => iv.contains(t(i)) })).toLong
+    }
+
+    /** How the instantiated database meets each of `ccs` ([[CcFidelity]]). */
+    def fidelity(ccs: Seq[CC]): Vector[CcFidelity] = CcFidelity.report(ccs, extraTuples)(ccCount)
+  }
 
   /** Sample full view instantiations from the grid-LP masses, then repair
     * referential integrity at cell granularity and assign FK values.
@@ -190,17 +198,6 @@ object DataSynth {
       fkVals(rel) = fkCols
     }
     Result(viewAttrs, viewTuples.toMap, fkVals.toMap, extras.toMap)
-  }
-
-  /** Cardinality of a CC on the instantiated database (view-tuple count). */
-  def ccCount(res: Result, cc: CC): Long = {
-    val attrs = res.viewAttrs(cc.relation)
-    val compiled: Vector[Vector[(Int, Interval)]] = cc.pred.conjuncts.toVector.map(
-      _.ranges.toVector.map(r => (attrs.indexOf(r.attr), r.iv)))
-    if (cc.pred.isTrue) res.viewTuples(cc.relation).size.toLong
-    else res.viewTuples(cc.relation).count { t =>
-      compiled.exists(_.forall { case (i, iv) => iv.contains(t(i)) })
-    }.toLong
   }
 
   /** Extract materialized relations as DataFrames (pk, own attrs, FKs). */

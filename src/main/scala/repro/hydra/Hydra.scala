@@ -1,6 +1,6 @@
 package repro.hydra
 
-import repro.core.{CC, SchemaDef}
+import repro.core.{CC, CcFidelity, SchemaDef}
 import repro.hydra.LPFormulator.{ViewLpResult, ViewLpStats}
 
 /** End-to-end Hydra driver (§3): CCs in, database summary out, with a
@@ -18,6 +18,9 @@ object Hydra {
   ) {
     /** Summary-side cardinality of a CC on the regenerated database. */
     def ccCount(cc: CC): Long = viewTables(cc.relation).countWhere(cc.pred)
+
+    /** How the summary meets each of `ccs` ([[CcFidelity]]). */
+    def fidelity(ccs: Seq[CC]): Vector[CcFidelity] = CcFidelity.report(ccs, extraTuples)(ccCount)
   }
 
   /** Build the database summary for `schema` under constraints `ccs`.
@@ -29,11 +32,9 @@ object Hydra {
       ccs: Seq[CC],
       fallbackTotals: Map[String, Long] = Map.empty,
   ): Result = {
-    val byRel = ccs.groupBy(_.relation)
     val t0 = System.nanoTime()
-    val lps: Seq[ViewLpResult] = schema.relations.map { r =>
-      val relCcs = byRel.getOrElse(r.name, Nil)
-      LPFormulator.solve(schema, r.name, relCcs, CC.relationSize(r.name, relCcs, fallbackTotals))
+    val lps: Seq[ViewLpResult] = CC.byView(schema, ccs, fallbackTotals).map { case (rel, relCcs, total) =>
+      LPFormulator.solve(schema, rel, relCcs, total)
     }
     val lpMillis = (System.nanoTime() - t0) / 1000000
 

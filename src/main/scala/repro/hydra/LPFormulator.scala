@@ -126,7 +126,7 @@ object LPFormulator {
     // (c) Consistency on each clique-tree edge, one row per key class.
     for ((s, i) <- subs.zipWithIndex if s.key.nonEmpty) {
       def keyed(j: Int, coeff: Rational) =
-        reps(j).indices.map(r => s.key.map(_.eval(reps(j)(r))) -> ((offsets(j) + r) -> coeff))
+        parts(j).indices.map(r => s.keyClass(subs(j).attrs, parts(j)(r)) -> ((offsets(j) + r) -> coeff))
       val vars = keyed(s.parent, Rational.One) ++ keyed(i, Rational(-1))
       val byKey = vars.groupMap(_._1)(_._2)
       for (k <- vars.map(_._1).distinct) eqs += Simplex.Eq(byKey(k), Rational.Zero)

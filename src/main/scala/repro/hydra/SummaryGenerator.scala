@@ -47,7 +47,7 @@ object SummaryGenerator {
     val sAttrs = s.sub.attrs
     val sNewIdx = sAttrs.indices.filterNot(i => s.sub.sep(sAttrs(i))).toVector
     def keyed(attrs: Vector[String], rows: Vector[(Vector[Double], Long)]) =
-      rows.map(r => s.sub.key.map(_.eval(attrs.zip(r._1).toMap)) -> r)
+      rows.map(r => s.sub.keyClass(attrs, r._1) -> r)
     val (ka, kb) = (keyed(curAttrs, curRows), keyed(sAttrs, s.rows))
     val (ga, gb) = (ka.groupMap(_._1)(_._2), kb.groupMap(_._1)(_._2))
     val out = Vector.newBuilder[(Vector[Double], Long)]

@@ -17,14 +17,11 @@ object TestWorkloads {
     /** Every view LP of the workload, as `Hydra.buildSummary` formulates it:
       * region partition, then formulation, of each relation's view.
       */
-    def formulate(): Seq[ViewLp] = {
-      val byRel = ccs.groupBy(_.relation)
-      schema.relations.map { r =>
-        val relCcs = byRel.getOrElse(r.name, Nil)
-        val (subs, parts) = LPFormulator.regionPartitions(schema, r.name, relCcs)
-        LPFormulator.build(schema, r.name, relCcs, CC.relationSize(r.name, relCcs, totals), subs, parts)
+    def formulate(): Seq[ViewLp] =
+      CC.byView(schema, ccs, totals).map { case (rel, relCcs, total) =>
+        val (subs, parts) = LPFormulator.regionPartitions(schema, rel, relCcs)
+        LPFormulator.build(schema, rel, relCcs, total, subs, parts)
       }
-    }
 
     lazy val viewLps: Seq[ViewLp] = formulate()
   }

@@ -16,6 +16,14 @@ class SchemaSpec extends AnyFunSuite {
     assert(fig1.viewAttrs("T") == Seq("C"))
   }
 
+  test("CC.byView gives every relation in schema order with its CCs and its size") {
+    val ccs = Seq(CC("R", Dnf.True, 80), CC("S", Dnf.of(Conjunct.range("A", 0, 5)), 3), CC("S", Dnf.True, 7))
+    assert(CC.byView(fig1, ccs, Map("T" -> 2L, "S" -> 99L)) ==
+      Seq(("T", Nil, 2L), ("S", ccs.drop(1), 7L), ("R", ccs.take(1), 80L)))
+    val e = intercept[IllegalArgumentException](CC.byView(fig1, ccs, Map.empty))
+    assert(e.getMessage.contains("relation T"), e.getMessage)
+  }
+
   test("dependentsFirst puts R before S and T") {
     val order = fig1.dependentsFirst
     assert(order.indexOf("R") < order.indexOf("S"))
@@ -118,6 +126,16 @@ class ViewGraphSpec extends AnyFunSuite {
   test("a large clique CC is kept whole") {
     val svs = subViews(Seq(cc(1, "a", "b", "c", "d")))
     assert(svs.size == 1 && svs.head.attrs.size == 4)
+  }
+
+  test("a key class is the truth vector of the key at a point, in any attribute order") {
+    val key = Vector(Conjunct.range("b", 0, 1), Conjunct.of(Seq(AttrRange("b", Interval(0, 2)), AttrRange("c", Interval(1, 3)))).get)
+    val s = SubView(Vector("b", "c", "d"), Set("b", "c"), 0, key)
+    for ((attrs, pt) <- Seq(Vector("b", "c", "d") -> Vector(0.5, 2.0, 9.0), Vector("d", "c", "b", "a") -> Vector(9.0, 2.0, 0.5, 7.0),
+                            Vector("c", "b") -> Vector(0.0, 1.5), Vector("b", "c") -> Vector(3.0, 2.0)))
+      assert(s.keyClass(attrs, pt) == key.map(_.eval(attrs.zip(pt).toMap)), s"$attrs at $pt")
+    assert(s.keyClass(Vector("b", "c"), Vector(0.5, 2.0)) == Vector(true, true))
+    assert(s.keyClass(Vector("c", "b"), Vector(0.0, 1.5)) == Vector(false, false))
   }
 
   test("no CCs yields no sub-views") {

@@ -56,7 +56,7 @@ class DataSynthSparkSpec extends SparkSpec {
     val joined = r.join(s, r("S_fk") === s("S_pk"))
       .filter(between("A", 20, 60).toColumn).count()
     // Borrowed-attr evaluation and join evaluation agree at cell granularity.
-    val direct = DataSynth.ccCount(res, CC("R", between("A", 20, 60), 0))
+    val direct = res.ccCount(CC("R", between("A", 20, 60), 0))
     assert(joined == direct, s"join says $joined, view tuples say $direct")
   }
 }

@@ -100,15 +100,13 @@ class DataSynthSpec extends AnyFunSuite {
   }
 
   test("CCs hold approximately (within 25% or small absolute slack)") {
-    ccs.foreach { cc =>
-      val got = DataSynth.ccCount(res, cc)
-      val tol = math.max(0.25 * cc.card, 80.0)
-      assert(math.abs(got - cc.card) <= tol, s"CC $cc got $got")
+    res.fidelity(ccs).foreach { f =>
+      assert(math.abs(f.gap) <= math.max(0.25 * f.cc.card, 80.0), s"CC ${f.cc} got ${f.achieved}")
     }
   }
 
   test("sampling produces at least one non-exact CC (the DataSynth flaw)") {
-    assert(ccs.exists(cc => DataSynth.ccCount(res, cc) != cc.card))
+    assert(res.fidelity(ccs).exists(_.gap != 0))
   }
 
   test("FK columns reference valid PKs") {

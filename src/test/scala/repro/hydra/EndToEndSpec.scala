@@ -1,6 +1,6 @@
 package repro.hydra
 
-import repro.{CcSlack, SparkSpec}
+import repro.SparkSpec
 import repro.core._
 import repro.tpcds.{TpcdsLite, TpcdsWorkload}
 
@@ -36,21 +36,19 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("every CC is satisfied on the summary within RI slack") {
-    ccs.foreach(cc => CcSlack.assertMet(cc, result.ccCount(cc), result.extraTuples))
-  }
-
-  test("errors are positive-only (Hydra property, §7.1)") {
-    assert(ccs.forall(cc => result.ccCount(cc) >= cc.card))
+    assert(result.fidelity(ccs).flatMap(_.failure).isEmpty)
   }
 
   test("re-executing the workload on regenerated data reproduces the AQP cardinalities") {
     val regenCcs = Aqp.extractWorkloadCCs(schema, queries, regen)
     assert(regenCcs.map(_.dedupKey) == ccs.map(_.dedupKey))
-    regenCcs.zip(ccs).foreach { case (got, want) =>
-      assert(got.card == result.ccCount(want),
-        s"regen CC ${got.relation}/${got.pred.toSql}: ${got.card}, summary says ${result.ccCount(want)}")
-      CcSlack.assertMet(want, got.card, result.extraTuples)
+    val replayed = regenCcs.map(c => c.dedupKey -> c.card).toMap
+    val report = CcFidelity.report(ccs, result.extraTuples)(cc => replayed(cc.dedupKey))
+    val differ = report.zip(result.fidelity(ccs)).collect { case (got, want) if got.achieved != want.achieved =>
+      s"regen CC ${got.cc.relation}/${got.cc.pred.toSql}: ${got.achieved}, summary says ${want.achieved}"
     }
+    assert(differ.isEmpty)
+    assert(report.flatMap(_.failure).isEmpty)
   }
 
   test("summary is minuscule compared to the data it regenerates") {

@@ -1,11 +1,14 @@
 package repro.hydra
 
-import repro.{CcSlack, SparkSpec, TestWorkloads}
+import repro.{SparkSpec, TestWorkloads}
+import repro.core.CcFidelity
 import repro.lp.Rational
 
 /** The full WLc summary at the test scale: the workload with the most CCs,
   * whose `date_dim` and `inventory` views need branch-and-bound, so the
-  * whole exact solver runs here, not only in the benches.
+  * whole exact solver runs here, not only in the benches. The summaries of
+  * WLs, WLc and JOB built from their integral solutions meet the fidelity
+  * contract.
   */
 class WlcSummarySpec extends SparkSpec {
   private lazy val wlc = TestWorkloads.wlc
@@ -33,8 +36,11 @@ class WlcSummarySpec extends SparkSpec {
     assert(cols.sum <= 1200, s"WLc LP columns per view: ${solved.map(_._1.relation).zip(cols)}")
   }
 
-  test("WLc: the summary built from those solutions meets every CC within RI slack") {
-    val gen = SummaryGenerator.generate(wlc.schema, solved.map(_._2))
-    wlc.ccs.foreach(cc => CcSlack.assertMet(cc, gen.viewTables(cc.relation).countWhere(cc.pred), gen.extraTuples))
-  }
+  for ((name, w) <- Seq("WLs" -> (() => TestWorkloads.wls), "WLc" -> (() => TestWorkloads.wlc),
+                        "JOB" -> (() => TestWorkloads.job)))
+    test(s"$name: the summary built from those solutions meets every CC within RI slack") {
+      val gen = SummaryGenerator.generate(w().schema, w().viewLps.map(LPFormulator.solveIntegral))
+      val report = CcFidelity.report(w().ccs, gen.extraTuples)(cc => gen.viewTables(cc.relation).countWhere(cc.pred))
+      assert(report.flatMap(_.failure).isEmpty)
+    }
 }

@@ -1,6 +1,6 @@
 package repro.job
 
-import repro.{CcSlack, SparkSpec}
+import repro.SparkSpec
 import repro.core._
 import repro.hydra.{DbSummary, Hydra, TupleGenerator}
 
@@ -23,7 +23,7 @@ class JobEndToEndSpec extends SparkSpec {
   }
 
   test("every JOB CC within RI slack, positive-only") {
-    ccs.foreach(cc => CcSlack.assertMet(cc, result.ccCount(cc), result.extraTuples))
+    assert(result.fidelity(ccs).flatMap(_.failure).isEmpty)
   }
 
   test("regenerated cast_info joins title and name with no dangling FKs") {
